@@ -12,10 +12,8 @@ from .arith import factorize, moebius, phi_dagger, phi_star, primes, squarefree_
 from .counting import (
     NAIVE_MAX_B,
     BijectionResult,
-    CountReport,
     CountResult,
     count_naive,
-    count_split,
     count_torsor,
     verify_bijection,
 )

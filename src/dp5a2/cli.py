@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import counting, density, dirichlet, verify
 from .torsor import EDGES
@@ -40,9 +40,9 @@ class RunConfig:
     tol: float = 1e-3
     p_max: int = 10**6
     fmt: str = "text"
-    workers: int | None = None
+    workers: int = 1
     deep: bool = False
-    drop_edge: str | None = None
+    edges: frozenset = EDGES
 
 
 def _int_list(text: str) -> list[int]:
@@ -194,19 +194,11 @@ def cmd_count(cfg: RunConfig) -> int:
     for B in cfg.Bs:
         results = []
         if cfg.method in ("naive", "both"):
-            try:
-                results.append(counting.count_naive(B))
-            except ValueError as exc:
-                raise UsageError(str(exc))
+            results.append(counting.count_naive(B))
         if cfg.method in ("torsor", "both"):
-            try:
-                results.append(
-                    counting.count_torsor(
-                        B, workers=cfg.workers, A=cfg.A if cfg.split else None
-                    )
-                )
-            except ValueError as exc:
-                raise UsageError(str(exc))
+            results.append(
+                counting.count_torsor(B, workers=cfg.workers, A=cfg.A if cfg.split else None)
+            )
         rows.extend(_row(B, r) for r in results)
         if len(results) == 2 and results[0].count != results[1].count:
             disagree = True
@@ -248,27 +240,9 @@ def cmd_constant(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    edges = EDGES
-    if cfg.drop_edge:
-        names = tuple(x.strip() for x in cfg.drop_edge.split(","))
-        if len(names) != 2:
-            raise UsageError("--drop-edge wants V1,V2")
-        edge = frozenset(names)
-        if edge not in edges:
-            raise UsageError(f"no such edge: {cfg.drop_edge}")
-        edges = frozenset(e for e in edges if e != edge)
-    deep = cfg.deep
-    bij_bound = cfg.Bs[0] if cfg.Bs else (100 if deep else 50)
-    checks = [
-        verify.check_local_factor_oracle(),
-        verify.check_theta_consistency(30 if deep else 12),
-        verify.check_coprimality_equiv(*((50, 10) if deep else (30, 5)), edges=edges),
-        verify.check_bijection(bij_bound, workers=cfg.workers),
-        verify.check_height_bounds(1000 if deep else 200, workers=cfg.workers),
-        verify.check_g2_scaling()
-        if deep
-        else verify.check_g2_scaling(t0s=(1.0, 2.0), tol=1e-5),
-    ]
+    checks = verify.run_all(
+        cfg.deep, edges=cfg.edges, B=cfg.Bs[0] if cfg.Bs else None, workers=cfg.workers
+    )
     if cfg.fmt == "json":
         print(
             json.dumps(
@@ -315,6 +289,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def _to_config(ns: argparse.Namespace) -> RunConfig:
+    """Namespace -> RunConfig; every check on outside input happens here."""
     cfg = RunConfig(subcommand=ns.subcommand)
     if hasattr(ns, "B") and ns.B is not None:
         cfg.Bs = ns.B if isinstance(ns.B, list) else [ns.B]
@@ -327,17 +302,36 @@ def _to_config(ns: argparse.Namespace) -> RunConfig:
         ("format", "fmt"),
         ("workers", "workers"),
         ("deep", "deep"),
-        ("drop_edge", "drop_edge"),
     ):
         if hasattr(ns, src) and getattr(ns, src) is not None:
             setattr(cfg, dst, getattr(ns, src))
     if getattr(ns, "json", False):
         cfg.fmt = "json"
+    runs_naive = cfg.subcommand == "verify" or cfg.method != "torsor"
     for B in cfg.Bs:
         if B < 1:
             raise UsageError("B must be >= 1")
+        if runs_naive and B > counting.NAIVE_MAX_B:
+            raise UsageError(f"naive enumeration refused for B > {counting.NAIVE_MAX_B}")
+        if cfg.split and cfg.method != "naive" and B < 3:
+            raise UsageError("--split needs B >= 3 (log B > 1)")
     if cfg.tol <= 0:
         raise UsageError("tolerance must be positive")
+    if cfg.p_max < 2:
+        raise UsageError("--pmax must be >= 2")
+    env = os.environ.get("DP5A2_WORKERS")
+    if ns.workers is None and env:
+        try:
+            cfg.workers = int(env)
+        except ValueError:
+            raise UsageError(f"DP5A2_WORKERS is not an integer: {env!r}")
+    if cfg.workers < 1:
+        raise UsageError("the worker count (--workers or DP5A2_WORKERS) must be >= 1")
+    if getattr(ns, "drop_edge", None):
+        edge = frozenset(x.strip() for x in ns.drop_edge.split(","))
+        if edge not in EDGES:
+            raise UsageError(f"--drop-edge wants V1,V2, an edge of the graph: {ns.drop_edge}")
+        cfg.edges = EDGES - {edge}
     return cfg
 
 

@@ -17,30 +17,27 @@ without which the eta6 loop would be unbounded (alpha1 = 0 solutions).
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from math import gcd, isqrt
 from multiprocessing import Pool
 from typing import Iterator
 
-from .surface import LINES, ProjectivePoint, brute_force_points, in_U
+from .surface import BRUTE_FORCE_MAX, LINES, ProjectivePoint, brute_force_points, in_U
 from .torsor import TorsorPoint, psi
 
 __all__ = [
     "BijectionResult",
-    "CountReport",
     "CountResult",
     "NAIVE_MAX_B",
     "count_naive",
-    "count_split",
     "count_torsor",
     "equation_solutions",
     "equation_solutions_box",
     "verify_bijection",
 ]
 
-NAIVE_MAX_B = 500
+NAIVE_MAX_B = BRUTE_FORCE_MAX
 RETAIN_CAP_DEFAULT = 10**6
 
 
@@ -58,21 +55,6 @@ class CountResult:
     seconds: float = 0.0
 
 
-@dataclass
-class CountReport:
-    """Combined per-B report (CLI shape)."""
-
-    B: int
-    A: float | None = None
-    n_naive: int | None = None
-    n_torsor: int | None = None
-    na: int | None = None
-    nb1: int | None = None
-    nb2: int | None = None
-    seconds_naive: float | None = None
-    seconds_torsor: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # naive engine
 # ---------------------------------------------------------------------------
@@ -82,12 +64,9 @@ def count_naive(B: int) -> CountResult:
     """Count U-points of height <= B by brute force over the quadrics.
 
     Every x0 = 0 surface point in the box must lie on one of the four
-    lines; that is verified, not assumed.
+    lines; that is verified, not assumed.  brute_force_points refuses B
+    outside 1..NAIVE_MAX_B with ValueError.
     """
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    if B > NAIVE_MAX_B:
-        raise ValueError(f"naive enumeration refused for B > {NAIVE_MAX_B}")
     t0 = time.perf_counter()
     pts = brute_force_points(B)
     for p in pts:
@@ -215,19 +194,10 @@ def _stratum_worker(args: tuple) -> tuple:
     return _scan_stratum(*args)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("DP5A2_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def count_torsor(
     B: int,
     *,
-    workers: int | None = None,
+    workers: int = 1,
     collect: bool = False,
     A: float | None = None,
     retain_cap: int = RETAIN_CAP_DEFAULT,
@@ -236,16 +206,21 @@ def count_torsor(
 
     Work is partitioned by eta1 strata; results are reduced in eta1 order,
     so counts and collected tuples are independent of the worker count.
+
+    With A set (B >= 3), each solution is also classed as N_a if
+    eta5 >= |eta6|, else N_b1 if eta1^2 eta2^2 eta3^3 eta4^2 <= B/(log B)^A,
+    else N_b2; the three always sum to the total.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if A is not None and B < 3:
         raise ValueError("split classification needs B >= 3 (log B > 1)")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
-    nworkers = _resolve_workers(workers)
     jobs = [(e1, B, collect, A) for e1 in range(1, isqrt(B) + 1)]
-    if nworkers > 1 and len(jobs) > 1:
-        with Pool(min(nworkers, len(jobs))) as pool:
+    if workers > 1 and len(jobs) > 1:
+        with Pool(min(workers, len(jobs))) as pool:
             parts = pool.map(_stratum_worker, jobs, chunksize=1)
     else:
         parts = [_stratum_worker(j) for j in jobs]
@@ -275,18 +250,6 @@ def count_torsor(
     )
 
 
-def count_split(B: int, A: float = 28.0, *, workers: int | None = None) -> CountResult:
-    """count_torsor with each solution classified into N_a / N_b1 / N_b2.
-
-    N_a:  eta5 >= |eta6|.
-    N_b1: eta5 < |eta6| and eta1^2 eta2^2 eta3^3 eta4^2 <= B/(log B)^A.
-    N_b2: the rest.  The three always sum to the total.
-    """
-    if B < 3:
-        raise ValueError("count_split needs B >= 3")
-    return count_torsor(B, workers=workers, A=A)
-
-
 # ---------------------------------------------------------------------------
 # bijection check
 # ---------------------------------------------------------------------------
@@ -312,7 +275,7 @@ class BijectionResult:
         return None
 
 
-def verify_bijection(B: int, *, workers: int | None = None) -> BijectionResult:
+def verify_bijection(B: int, *, workers: int = 1) -> BijectionResult:
     """Both engines at B: same point set, and psi injective on solutions."""
     naive = count_naive(B)
     tor = count_torsor(B, workers=workers, collect=True)

@@ -7,9 +7,9 @@ point, so {h <= 1} is the continuous model of the height-<= B region.
 
 g0 integrates out t1.  Each height entry is |quadratic in t1| <= 1, so
 the t1-section is a finite union of intervals and g0 is computed by
-exact root intersection (the default).  A bisection fallback
-(method="subdivision") is kept as an independent cross-check; it is far
-slower and never used in the nested quadratures.
+exact root intersection.  g0_subdivision measures the same section by
+bisection against the entries of h themselves; it is the independent
+reference for g0, far slower, and never used in the nested quadratures.
 
 Conventions: t0 > 0, t5 >= 0; g0 is even in t6 (t1 -> -t1 flips the
 sign of every t6-odd entry), which the t6 integrals exploit.
@@ -33,12 +33,11 @@ __all__ = [
     "PeyreConstant",
     "QuadratureError",
     "QuadratureResult",
-    "RegionBounds",
     "G2",
     "alpha_constant",
-    "decay_diagnostics",
     "euler_product",
     "g0",
+    "g0_subdivision",
     "g1a",
     "g1b",
     "g2a",
@@ -48,44 +47,26 @@ __all__ = [
     "h_max",
     "omega_infty",
     "peyre_constant",
-    "region_bounds",
 ]
 
 SQRT2 = math.sqrt(2.0)
 
 
-def h_max(t0, t1, t5, t6):
-    """Height section: max of the six |x_i|/B monomial combinations."""
-    return max(
-        abs(t0**4 * t5),
-        abs(t0**4 * t1),
-        abs(t1 * t5**2 * t6**2 + t0**2 * t1**2 * t6),
-        abs(t0**2 * t1 * t5 * t6),
-        abs(t0**2 * t5**2 * t6 + t0**4 * t1),
-        abs(t5**3 * t6**2 + t0**2 * t1 * t5 * t6),
+def _h_entries(t0, t1, t5, t6):
+    """The six signed monomial combinations x_i/B of the height section."""
+    return (
+        t0**4 * t5,
+        t0**4 * t1,
+        t1 * t5**2 * t6**2 + t0**2 * t1**2 * t6,
+        t0**2 * t1 * t5 * t6,
+        t0**2 * t5**2 * t6 + t0**4 * t1,
+        t5**3 * t6**2 + t0**2 * t1 * t5 * t6,
     )
 
 
-@dataclass(frozen=True)
-class RegionBounds:
-    """Bounding box of the support of {h <= 1} at fixed t0."""
-
-    t1_abs_max: float
-    t5_max: float
-    t56_max: float = 2.0  # bound on t5^3 t6^2
-
-    def contains(self, t1: float, t5: float, t6: float) -> bool:
-        return (
-            abs(t1) <= self.t1_abs_max
-            and 0.0 <= t5 <= self.t5_max
-            and t5**3 * t6**2 <= self.t56_max
-        )
-
-
-def region_bounds(t0: float) -> RegionBounds:
-    # |t0^4 t1| <= 1 and |t0^4 t5| <= 1 directly; |t5^3 t6^2| <= 2 from
-    # the last two entries by the triangle inequality.
-    return RegionBounds(t1_abs_max=t0**-4, t5_max=t0**-4)
+def h_max(t0, t1, t5, t6):
+    """Height section: max of the six |x_i|/B monomial combinations."""
+    return max(abs(e) for e in _h_entries(t0, t1, t5, t6))
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +154,19 @@ def _quad_range(a: float, b: float, c: float, lo: float, hi: float) -> tuple[flo
     return fmin, fmax
 
 
-def _g0_subdivision(t0: float, t5: float, t6: float, tol: float) -> float:
+def g0_subdivision(t0: float, t5: float, t6: float, tol: float) -> float:
+    """g0 by bisection of [-t0^-4, t0^-4]; the reference route for g0.
+
+    Entries 2-5 of h (0 and 1 are the guard and the t1 range) are quadratic
+    in t1; their coefficients are read off h at t1 = 0, 1, -1, not from g0's.
+    """
+    if t0 <= 0.0:
+        raise ValueError("t0 must be positive")
+    if t5 < 0.0 or t0**4 * t5 > 1.0:
+        return 0.0
     L = t0**-4
-    cs = _t1_constraints(t0, t5, t6)
+    at0, at1, atm1 = (_h_entries(t0, t1, t5, t6)[2:] for t1 in (0.0, 1.0, -1.0))
+    cs = [((p + m) / 2.0 - c, (p - m) / 2.0, c) for c, p, m in zip(at0, at1, atm1)]
     min_len = tol / 64.0
     total = 0.0
     stack = [(-L, L)]
@@ -203,17 +194,13 @@ def _g0_subdivision(t0: float, t5: float, t6: float, tol: float) -> float:
     return total
 
 
-def g0(t0: float, t5: float, t6: float, tol: float = 1e-8, method: str = "intervals") -> float:
-    """Length of {t1 : h(t0, t1, t5, t6) <= 1}."""
+def g0(t0: float, t5: float, t6: float) -> float:
+    """Length of {t1 : h(t0, t1, t5, t6) <= 1}, by exact root intersection."""
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
     if t5 < 0.0 or t0**4 * t5 > 1.0:
         return 0.0
-    if method == "intervals":
-        return _g0_intervals(t0, t5, t6)
-    if method == "subdivision":
-        return _g0_subdivision(t0, t5, t6, tol)
-    raise ValueError(f"unknown g0 method {method!r}")
+    return _g0_intervals(t0, t5, t6)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +217,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _quad(f, a: float, b: float, *, epsabs: float, epsrel: float, what: str) -> tuple[float, float]:
@@ -411,67 +395,6 @@ def g_family(ctx: ScalingContext, t0: float | None = None, tol: float = 1e-5) ->
         b=g2b(t0, ctx, tol),
         direct=g2_direct(t0, ctx, tol),
     )
-
-
-# ---------------------------------------------------------------------------
-# decay diagnostics (report-only; the bounds carry unspecified constants)
-# ---------------------------------------------------------------------------
-
-
-def _g0_t5_integral(t0: float, t6: float, tol: float = 1e-7) -> float:
-    """Integral of g0 dt5 over all t5 > 0."""
-    hi = t0**-4
-    if t6 != 0.0:
-        hi = min(hi, (2.0 / (t6 * t6)) ** (1.0 / 3.0))
-    val, _ = _quad(lambda t5: g0(t0, t5, t6), 0.0, hi, epsabs=1e-14, epsrel=tol, what="t5 sweep")
-    return val
-
-
-def _g0_t6_integral(t0: float, t5: float, tol: float = 1e-7) -> float:
-    """Integral of g0 dt6 over all t6."""
-    if t5 <= 0.0:
-        return 0.0
-    s32 = t5**1.5
-
-    def fz(z: float) -> float:
-        return 2.0 * z * g0(t0, t5, SQRT2 * z * z / s32)
-
-    val, _ = _quad(fz, 0.0, 1.0, epsabs=1e-14, epsrel=tol, what="t6 sweep")
-    return 2.0 * 2.0 * SQRT2 * val / s32
-
-
-def decay_diagnostics(
-    t0_grid=(0.5, 1.0, 2.0, 4.0),
-    t5_grid=(0.01, 0.1, 0.5, 1.0),
-    t6_grid=(0.05, 0.2, 1.0, 5.0, 25.0),
-) -> dict[str, float]:
-    """Empirical sup of the three decay-bound ratios over a sample grid.
-
-    g0 * t0 |t6|^{1/2}, the t5 integral against min(t0^{-1/2}|t6|^{-5/4},
-    t0^{-8}), and the t6 integral against t0^{-1} t5^{-3/4}.  Reported,
-    never asserted: the bounds hold up to absolute constants.
-    """
-    sup0 = 0.0
-    for t0 in t0_grid:
-        for t5 in t5_grid:
-            for t6 in t6_grid:
-                sup0 = max(sup0, g0(t0, t5, t6) * t0 * sqrt(abs(t6)))
-    sup1a = 0.0
-    for t0 in t0_grid:
-        for t6 in t6_grid:
-            bound = min(t0**-0.5 * abs(t6) ** -1.25, t0**-8)
-            sup1a = max(sup1a, _g0_t5_integral(t0, t6) / bound)
-    sup1b = 0.0
-    for t0 in t0_grid:
-        for t5 in t5_grid:
-            bound = 1.0 / (t0 * t5**0.75)
-            sup1b = max(sup1b, _g0_t6_integral(t0, t5) / bound)
-    return {
-        "g0_ratio_sup": sup0,
-        "g1a_ratio_sup": sup1a,
-        "g1b_ratio_sup": sup1b,
-        "samples": float(len(t0_grid) * len(t5_grid) * len(t6_grid)),
-    }
 
 
 # ---------------------------------------------------------------------------

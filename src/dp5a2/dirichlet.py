@@ -285,8 +285,8 @@ def summatory_M(
     return acc * ZETA2_INV
 
 
-def e_star_sum(B: int, *, exact: bool = True):
-    """Sum of theta(eta)/(eta1 eta2 eta3 eta4) over the shell E*(B).
+def e_star_sum(B: int) -> ZetaRational:
+    """Sum of theta(eta)/(eta1 eta2 eta3 eta4) over the shell E*(B), exactly.
 
     E*(B) keeps eta with eta1^2 eta2^2 eta3^3 eta4^2 <= B but
     eta1^3 eta2^3 eta3^4 eta4^2 > B.  Since the second base is the first
@@ -294,21 +294,14 @@ def e_star_sum(B: int, *, exact: bool = True):
     two sublevel sets, and this sum equals M_(2,2,3,2) - M_(3,3,4,2).
     """
     parts: list[Fraction] = []
-    acc = 0.0
     for eta, _ in _eta_range(K_MAIN, B):
         e1, e2, e3, e4 = eta
         if e1**3 * e2**3 * e3**4 * e4**2 <= B:
             continue
         if not _eta_coprime(eta):
             continue
-        c = _theta_coeff(eta)
-        if exact:
-            parts.append(c / (e1 * e2 * e3 * e4))
-        elif c:
-            acc += c.numerator / c.denominator / (e1 * e2 * e3 * e4)
-    if exact:
-        return ZetaRational(_tree_sum(parts), 1)
-    return acc * ZETA2_INV
+        parts.append(_theta_coeff(eta) / (e1 * e2 * e3 * e4))
+    return ZetaRational(_tree_sum(parts), 1)
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,6 @@ class Line:
         qu, qv, quv = quadric_values(u), quadric_values(v), quadric_values(uv)
         return all(a == 0 and b == 0 and c - a - b == 0 for a, b, c in zip(qu, qv, quv))
 
-    def __hash__(self) -> int:
-        return hash(self.basis)
-
 
 # The four lines of S, derived once by find_lines(5) and frozen here as a
 # regression fixture (canonical span form, sorted by basis):

@@ -38,7 +38,6 @@ __all__ = [
     "VERTICES",
     "coprimality_full",
     "coprimality_reduced",
-    "height_equivalent",
     "height_forms",
     "psi",
     "required_coprime_pairs",
@@ -223,8 +222,3 @@ def height_forms(t: TorsorPoint, B: int) -> tuple[bool, bool]:
         h_max(ctx.y0, t.alpha1 / ctx.y1, t.eta5 / ctx.y5, t.eta6 / ctx.y6) <= 1.0
     )
     return exact, floating
-
-
-def height_equivalent(t: TorsorPoint, B: int) -> bool:
-    """Exact height condition (the floating form is advisory only)."""
-    return height_forms(t, B)[0]

@@ -9,9 +9,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import counting, density, dirichlet
-from .torsor import EDGES, coprimality_full, coprimality_reduced
+from .torsor import EDGES, TorsorPoint, coprimality_full, coprimality_reduced, psi
 
 __all__ = [
     "CheckResult",
@@ -42,7 +43,7 @@ def _timed(name: str, fn) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
-def check_bijection(B: int = 100, *, workers: int | None = None) -> CheckResult:
+def check_bijection(B: int = 100, *, workers: int = 1) -> CheckResult:
     """Both engines agree and the torsor images are duplicate-free."""
 
     def run():
@@ -83,7 +84,7 @@ def check_coprimality_equiv(
     return _timed("coprimality-equivalence", run)
 
 
-def check_height_bounds(B: int = 1000, *, workers: int | None = None) -> CheckResult:
+def check_height_bounds(B: int = 1000, *, workers: int = 1) -> CheckResult:
     """The two necessary bounds and the identities behind them.
 
     For every enumerated solution: x1 + x4 = -(e1 e2 e3^2 e4^2 e5^2 e6)
@@ -95,8 +96,6 @@ def check_height_bounds(B: int = 1000, *, workers: int | None = None) -> CheckRe
         res = counting.count_torsor(B, workers=workers, collect=True)
         if res.solutions is None:
             return False, "retention cap exceeded"
-        from .torsor import TorsorPoint, psi
-
         for s in res.solutions:
             e1, e2, e3, e4, e5, e6, _, _ = s
             t = TorsorPoint(*s)
@@ -121,8 +120,6 @@ def check_theta_consistency(bound: int = 30) -> CheckResult:
     """
 
     def run():
-        from math import gcd
-
         n = 0
         for e1 in range(1, bound + 1):
             for e2 in range(1, bound + 1):
@@ -188,13 +185,25 @@ def check_g2_scaling(
     return _timed("g2-scaling", run)
 
 
-def run_all(deep: bool = False, *, workers: int | None = None) -> list[CheckResult]:
-    """The whole suite; deep mode widens every search range."""
+def run_all(
+    deep: bool = False,
+    *,
+    edges: frozenset = EDGES,
+    B: int | None = None,
+    workers: int = 1,
+) -> list[CheckResult]:
+    """The whole suite; deep mode widens every search range.
+
+    edges is passed to the coprimality check (fault injection); B, when
+    given, replaces the bijection check's default bound.
+    """
+    if B is None:
+        B = 100 if deep else 50
     return [
         check_local_factor_oracle(),
         check_theta_consistency(30 if deep else 12),
-        check_coprimality_equiv(*((50, 10) if deep else (30, 5))),
-        check_bijection(100 if deep else 50, workers=workers),
+        check_coprimality_equiv(*((50, 10) if deep else (30, 5)), edges=edges),
+        check_bijection(B, workers=workers),
         check_height_bounds(1000 if deep else 200, workers=workers),
         check_g2_scaling() if deep else check_g2_scaling(t0s=(1.0, 2.0), tol=1e-5),
     ]

@@ -156,7 +156,7 @@ def test_criterion_10_partition():
     details = []
     for B in (10**3, 10**4):
         for A in (0.5, 1.0, 2.0, 28.0):
-            res = counting.count_split(B, A=A)
+            res = counting.count_torsor(B, A=A)
             if res.na + res.nb1 + res.nb2 != res.count:
                 ok = False
                 details.append(f"B={B} A={A}: {res.na}+{res.nb1}+{res.nb2} != {res.count}")

@@ -151,13 +151,20 @@ def test_config_missing_file(capsys):
 
 def test_verify_fault_injection(capsys):
     code, out, _ = run(
-        capsys, "verify", "--drop-edge", "A1,E1", "--format", "json",
+        capsys, "verify", "--drop-edge", "A1,E1", "--B", "60", "--format", "json",
     )
     assert code == 4
-    checks = {c["name"]: c for c in json.loads(out)}
+    listed = json.loads(out)
+    # the six checks of verify.run_all, in its order
+    assert [c["name"] for c in listed] == [
+        "local-factor-oracle", "theta-consistency", "coprimality-equivalence",
+        "bijection", "height-bounds", "g2-scaling",
+    ]
+    checks = {c["name"]: c for c in listed}
     assert not checks["coprimality-equivalence"]["passed"]
     # the unrelated checks still pass
     assert checks["bijection"]["passed"]
+    assert checks["bijection"]["detail"].startswith("B=60:")
     assert checks["height-bounds"]["passed"]
 
 
@@ -165,3 +172,49 @@ def test_verify_unknown_edge(capsys):
     code, _, err = run(capsys, "verify", "--drop-edge", "E1,E9")
     assert code == 2
     assert "edge" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constant", "--pmax", "1"),
+        ("predict", "--B", "10", "--pmax", "1"),
+        ("verify", "--B", "1000"),
+        ("count", "--B", "2", "--split"),
+        ("count", "--B", "10", "--workers", "-3"),
+        ("constant", "--workers", "0"),
+        ("verify", "--workers", "0"),
+        ("predict", "--B", "10", "--workers", "0"),
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--B", "10"),
+        ("constant",),
+        ("verify",),
+        ("predict", "--B", "10"),
+    ],
+)
+def test_bad_worker_env_exits_2(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("DP5A2_WORKERS", value)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "DP5A2_WORKERS" in err
+
+
+def test_worker_env_used_when_flag_absent(capsys, monkeypatch):
+    monkeypatch.setenv("DP5A2_WORKERS", "2")
+    code, out, _ = run(capsys, "count", "--B", "10", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["count"] == 92
+    # an explicit flag wins, so the environment is not read
+    monkeypatch.setenv("DP5A2_WORKERS", "abc")
+    assert run(capsys, "count", "--B", "10", "--workers", "1")[0] == 0

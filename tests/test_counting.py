@@ -3,7 +3,6 @@ import pytest
 from dp5a2.counting import (
     NAIVE_MAX_B,
     count_naive,
-    count_split,
     count_torsor,
     equation_solutions,
     equation_solutions_box,
@@ -60,19 +59,32 @@ def test_worker_count_does_not_change_result():
     assert seq.solutions == par.solutions
 
 
+def test_workers_below_one_rejected():
+    from dp5a2.verify import check_bijection, check_height_bounds
+
+    for call in (
+        lambda: count_torsor(10, workers=0),
+        lambda: verify_bijection(10, workers=-3),
+        lambda: check_bijection(10, workers=0),
+        lambda: check_height_bounds(10, workers=0),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_split_partition():
     for A in (0.5, 1.0, 2.0, 28.0):
-        r = count_split(1000, A)
+        r = count_torsor(1000, A=A)
         assert r.na + r.nb1 + r.nb2 == r.count
         assert r.count == count_torsor(1000).count
     with pytest.raises(ValueError):
-        count_split(2)
+        count_torsor(2, A=28.0)
 
 
 def test_split_monotone_in_A():
     # raising A shrinks the b1 class (threshold B/(log B)^A drops)
-    r1 = count_split(1000, 0.5)
-    r2 = count_split(1000, 2.0)
+    r1 = count_torsor(1000, A=0.5)
+    r2 = count_torsor(1000, A=2.0)
     assert r1.na == r2.na  # the a/b split does not depend on A
     assert r1.nb1 >= r2.nb1
 

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -6,15 +5,14 @@ import pytest
 from dp5a2.density import (
     G2,
     alpha_constant,
-    decay_diagnostics,
     euler_product,
     g0,
+    g0_subdivision,
     g1a,
     g1b,
     g_family,
     h_max,
     omega_infty,
-    region_bounds,
 )
 from dp5a2.torsor import scaling_context
 
@@ -66,20 +64,30 @@ def test_g0_methods_agree():
         t5 = rng.uniform(0.0, t0**-4)
         t6 = rng.uniform(-3, 3)
         a = g0(t0, t5, t6)
-        b = g0(t0, t5, t6, method="subdivision")
+        b = g0_subdivision(t0, t5, t6, 1e-8)
         worst = max(worst, abs(a - b))
     assert worst <= 1e-7
+    # the same domain guards
+    assert g0_subdivision(1, 2.0, 0.0, 1e-8) == g0(1, 2.0, 0.0) == 0.0
+    assert g0_subdivision(1, -0.1, 0.0, 1e-8) == g0(1, -0.1, 0.0) == 0.0
+    for route in (lambda: g0(0.0, 0.5, 0.0), lambda: g0_subdivision(0.0, 0.5, 0.0, 1e-8)):
+        with pytest.raises(ValueError):
+            route()
 
 
 def test_g0_support_bounds():
-    rb = region_bounds(1.3)
+    # |t0^4 t1| <= 1 and |t0^4 t5| <= 1 directly; t5^3 t6^2 <= 2 from the
+    # last two entries of h by the triangle inequality
+    t0 = 1.3
     rng = random.Random(3)
     for _ in range(200):
         t1 = rng.uniform(-1.5, 1.5)
         t5 = rng.uniform(0, 1.5)
         t6 = rng.uniform(-4, 4)
-        if h_max(1.3, t1, t5, t6) <= 1:
-            assert rb.contains(t1, t5, t6)
+        if h_max(t0, t1, t5, t6) <= 1:
+            assert abs(t1) <= t0**-4
+            assert 0.0 <= t5 <= t0**-4
+            assert t5**3 * t6**2 <= 2.0
 
 
 def test_omega_and_scaling():
@@ -118,9 +126,3 @@ def test_euler_product_cutoff_consistency():
     assert abs(b.value - a.value) <= a.tail_rel_bound * a.value
     assert 0 < b.value < 1
 
-
-def test_decay_diagnostics_report():
-    d = decay_diagnostics(t0_grid=(1.0, 2.0), t5_grid=(0.1, 0.5), t6_grid=(0.2, 1.0))
-    for key in ("g0_ratio_sup", "g1a_ratio_sup", "g1b_ratio_sup"):
-        assert d[key] >= 0.0
-        assert math.isfinite(d[key])
