@@ -240,9 +240,7 @@ def cmd_constant(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    checks = verify.run_all(
-        cfg.deep, edges=cfg.edges, B=cfg.Bs[0] if cfg.Bs else None, workers=cfg.workers
-    )
+    checks = verify.run_all(cfg.deep, edges=cfg.edges, B=cfg.Bs[0] if cfg.Bs else None)
     if cfg.fmt == "json":
         print(
             json.dumps(
@@ -315,8 +313,10 @@ def _to_config(ns: argparse.Namespace) -> RunConfig:
             raise UsageError(f"naive enumeration refused for B > {counting.NAIVE_MAX_B}")
         if cfg.split and cfg.method != "naive" and B < 3:
             raise UsageError("--split needs B >= 3 (log B > 1)")
-    if cfg.tol <= 0:
-        raise UsageError("tolerance must be positive")
+    if not math.isfinite(cfg.A):
+        raise UsageError("--A must be a finite number")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise UsageError("tolerance must be positive and finite")
     if cfg.p_max < 2:
         raise UsageError("--pmax must be >= 2")
     env = os.environ.get("DP5A2_WORKERS")

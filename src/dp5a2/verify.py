@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import counting, density, dirichlet
-from .torsor import EDGES, TorsorPoint, coprimality_full, coprimality_reduced, psi
+from .torsor import EDGES, coprimality_full, coprimality_reduced, psi
 
 __all__ = [
     "CheckResult",
@@ -43,14 +43,21 @@ def _timed(name: str, fn) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
-def check_bijection(B: int = 100, *, workers: int = 1) -> CheckResult:
-    """Both engines agree and the torsor images are duplicate-free."""
+def check_bijection(B: int = 100) -> CheckResult:
+    """Both engines agree and the torsor images are duplicate-free.
+
+    count_torsor, which shares no code with the enumeration behind the
+    images, must give the same number.
+    """
 
     def run():
-        r = counting.verify_bijection(B, workers=workers)
-        if r.equal:
-            return True, f"B={B}: {r.n_naive} points from both engines, no duplicates"
-        return False, f"B={B}: mismatch at {r.first_mismatch()}"
+        r = counting.verify_bijection(B)
+        if not r.equal:
+            return False, f"B={B}: mismatch at {r.first_mismatch()}"
+        n = counting.count_torsor(B).count
+        if n != r.n_naive:
+            return False, f"B={B}: count_torsor gives {n}, the point sets {r.n_naive}"
+        return True, f"B={B}: {r.n_naive} points from both engines, no duplicates"
 
     return _timed("bijection", run)
 
@@ -84,29 +91,27 @@ def check_coprimality_equiv(
     return _timed("coprimality-equivalence", run)
 
 
-def check_height_bounds(B: int = 1000, *, workers: int = 1) -> CheckResult:
+def check_height_bounds(B: int = 1000) -> CheckResult:
     """The two necessary bounds and the identities behind them.
 
-    For every enumerated solution: x1 + x4 = -(e1 e2 e3^2 e4^2 e5^2 e6)
-    and x3 + x5 = -(e3 e4^2 e5^3 e6^2) exactly, and both right sides are
-    at most 2B in absolute value.
+    For every torsor tuple: x1 + x4 = -(e1 e2 e3^2 e4^2 e5^2 e6) and
+    x3 + x5 = -(e3 e4^2 e5^3 e6^2) exactly, and both right sides are at
+    most 2B in absolute value.
     """
 
     def run():
-        res = counting.count_torsor(B, workers=workers, collect=True)
-        if res.solutions is None:
-            return False, "retention cap exceeded"
-        for s in res.solutions:
-            e1, e2, e3, e4, e5, e6, _, _ = s
-            t = TorsorPoint(*s)
+        n = 0
+        for t in counting.torsor_solutions(B):
+            n += 1
+            e1, e2, e3, e4, e5, e6, _, _ = t
             p = psi(t)
             b1 = e1 * e2 * e3**2 * e4**2 * e5**2 * e6
             b2 = e3 * e4**2 * e5**3 * e6**2
             if p.x1 + p.x4 != -b1 or p.x3 + p.x5 != -b2:
-                return False, f"identity failed at {s}"
+                return False, f"identity failed at {tuple(t)}"
             if abs(b1) > 2 * B or b2 > 2 * B:
-                return False, f"bound failed at {s}"
-        return True, f"B={B}: {res.count} solutions satisfy both bounds"
+                return False, f"bound failed at {tuple(t)}"
+        return True, f"B={B}: {n} solutions satisfy both bounds"
 
     return _timed("height-bounds", run)
 
@@ -190,7 +195,6 @@ def run_all(
     *,
     edges: frozenset = EDGES,
     B: int | None = None,
-    workers: int = 1,
 ) -> list[CheckResult]:
     """The whole suite; deep mode widens every search range.
 
@@ -203,7 +207,7 @@ def run_all(
         check_local_factor_oracle(),
         check_theta_consistency(30 if deep else 12),
         check_coprimality_equiv(*((50, 10) if deep else (30, 5)), edges=edges),
-        check_bijection(B, workers=workers),
-        check_height_bounds(1000 if deep else 200, workers=workers),
+        check_bijection(B),
+        check_height_bounds(1000 if deep else 200),
         check_g2_scaling() if deep else check_g2_scaling(t0s=(1.0, 2.0), tol=1e-5),
     ]

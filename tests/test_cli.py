@@ -185,6 +185,9 @@ def test_verify_unknown_edge(capsys):
         ("constant", "--workers", "0"),
         ("verify", "--workers", "0"),
         ("predict", "--B", "10", "--workers", "0"),
+        ("count", "--B", "10", "--split", "--A", "nan"),
+        ("count", "--B", "10", "--split", "--A=-inf"),
+        ("constant", "--tol", "nan"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

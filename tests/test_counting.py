@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 
 from dp5a2.counting import (
@@ -6,6 +9,7 @@ from dp5a2.counting import (
     count_torsor,
     equation_solutions,
     equation_solutions_box,
+    torsor_solutions,
     verify_bijection,
 )
 
@@ -52,24 +56,52 @@ def test_bijection():
     assert not r.duplicate_images
 
 
+def test_count_matches_enumeration():
+    # the closed-form alpha1 count against plain enumeration of the tuples
+    for B in [*range(1, 61), 100, 200, 300, 1000]:
+        assert count_torsor(B).count == sum(1 for _ in torsor_solutions(B)), B
+    B = 1000
+    sols = list(torsor_solutions(B))
+    for A in (0.5, 28.0):
+        thr = B / math.log(B) ** A
+        na = nb1 = nb2 = 0
+        for t in sols:
+            if t.eta5 >= abs(t.eta6):
+                na += 1
+            elif t.eta1**2 * t.eta2**2 * t.eta3**3 * t.eta4**2 <= thr:
+                nb1 += 1
+            else:
+                nb2 += 1
+        r = count_torsor(B, A=A)
+        assert (r.count, r.na, r.nb1, r.nb2) == (len(sols), na, nb1, nb2)
+
+
+def test_check_bijection_covers_count_torsor(monkeypatch):
+    from dp5a2 import counting
+    from dp5a2.verify import check_bijection
+
+    assert check_bijection(25).passed
+    real = counting.count_torsor
+    monkeypatch.setattr(
+        counting, "count_torsor",
+        lambda B: dataclasses.replace(real(B), count=real(B).count + 1),
+    )
+    r = check_bijection(25)
+    assert not r.passed and "count_torsor" in r.detail
+
+
 def test_worker_count_does_not_change_result():
-    seq = count_torsor(300, workers=1, collect=True)
-    par = count_torsor(300, workers=4, collect=True)
-    assert seq.count == par.count
-    assert seq.solutions == par.solutions
+    seq = count_torsor(10**4, workers=1, A=1.0)
+    par = count_torsor(10**4, workers=3, A=1.0)
+    assert (seq.count, seq.na, seq.nb1, seq.nb2) == (par.count, par.na, par.nb1, par.nb2)
+    assert seq.count == 810_704
+    assert seq.nb1 > 0 and seq.nb2 > 0
 
 
 def test_workers_below_one_rejected():
-    from dp5a2.verify import check_bijection, check_height_bounds
-
-    for call in (
-        lambda: count_torsor(10, workers=0),
-        lambda: verify_bijection(10, workers=-3),
-        lambda: check_bijection(10, workers=0),
-        lambda: check_height_bounds(10, workers=0),
-    ):
+    for workers in (0, -3):
         with pytest.raises(ValueError):
-            call()
+            count_torsor(10, workers=workers)
 
 
 def test_split_partition():
@@ -79,6 +111,12 @@ def test_split_partition():
         assert r.count == count_torsor(1000).count
     with pytest.raises(ValueError):
         count_torsor(2, A=28.0)
+    for A in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            count_torsor(1000, A=A)
+    # (log B)^A beyond the float range leaves b1 empty or takes all of b
+    big, small = count_torsor(1000, A=1000.0), count_torsor(1000, A=-1000.0)
+    assert big.nb1 == 0 and big.nb2 == small.nb1 and small.nb2 == 0
 
 
 def test_split_monotone_in_A():
@@ -91,12 +129,12 @@ def test_split_monotone_in_A():
 
 def test_equation_solutions_superset_of_torsor_scan():
     B = 30
-    with_cop = count_torsor(B, collect=True)
+    with_cop = list(torsor_solutions(B))
     eq_sols = list(equation_solutions(B))
     eq_set = {tuple(t) for t in eq_sols}
     assert len(eq_set) == len(eq_sols)  # generator emits no duplicates
-    assert {s for s in with_cop.solutions} <= eq_set
-    assert len(eq_set) > with_cop.count  # coprimality really cuts
+    assert {tuple(t) for t in with_cop} <= eq_set
+    assert len(eq_set) > len(with_cop)  # coprimality really cuts
 
 
 def test_equation_solutions_box():
@@ -117,10 +155,3 @@ def test_equation_solutions_box():
             if e4 * e5 * e5 * e6 + e1 * a1 + e2 * a2 == 0:
                 expected.add((e1, e2, e3, e4, e5, e6, a1, a2))
     assert {tuple(t) for t in sols} == expected
-
-
-def test_retention_cap():
-    r = count_torsor(100, collect=True, retain_cap=5)
-    assert r.retention_exceeded
-    assert r.solutions is None
-    assert r.count == KNOWN_COUNTS[100]

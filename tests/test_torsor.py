@@ -4,7 +4,6 @@ from dp5a2.surface import is_on_surface
 from dp5a2.torsor import (
     EDGES,
     VERTICES,
-    ScalingContext,
     TorsorPoint,
     coprimality_full,
     coprimality_reduced,
