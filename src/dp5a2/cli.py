@@ -291,6 +291,8 @@ def _to_config(ns: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=ns.subcommand)
     if hasattr(ns, "B") and ns.B is not None:
         cfg.Bs = ns.B if isinstance(ns.B, list) else [ns.B]
+        if not cfg.Bs:
+            raise UsageError("--B needs at least one value")
     for src, dst in (
         ("method", "method"),
         ("split", "split"),

@@ -4,9 +4,10 @@ theta(eta) for eta = (eta1, eta2, eta3, eta4) is an exact rational
 multiple of 1/zeta(2); values are carried symbolically as ZetaRational
 so every identity in this module can be tested with exact equality.
 
-The staged sums theta0 -> theta1 -> theta2 exist in two routes (a and
-b, reflecting the two summation orders of the counting argument); both
-collapse to the same closed product, which is what theta() returns.
+theta has two derivations that share no code: the staged sums
+theta0 -> theta1a -> theta2a of the counting argument (Moebius sums over
+alpha1, then alpha2), and the Euler product of the local weights over
+the primes dividing eta1 eta2 eta3 eta4, which is what theta() returns.
 
 Delta_k(n) sums theta(eta)/(eta1 eta2 eta3 eta4) over eta with
 eta1^k1 eta2^k2 eta3^k3 eta4^k4 = n.  Its Dirichlet series factors as
@@ -40,9 +41,7 @@ __all__ = [
     "theta",
     "theta0",
     "theta1a",
-    "theta1b",
     "theta2a",
-    "theta2b",
 ]
 
 K_MAIN = (2, 2, 3, 2)
@@ -130,36 +129,28 @@ def theta2a(eta: tuple[int, int, int, int]) -> ZetaRational:
     return theta1a(eta) * phi_star(e1 * e2 * e3 * e4)
 
 
-def theta1b(eta: tuple[int, int, int, int]) -> ZetaRational:
-    e1, e2, e3, e4 = eta
-    return ZetaRational(theta0(eta) * phi_star(e1 * e2 * e3 * e4), 0)
-
-
-def theta2b(eta: tuple[int, int, int, int]) -> ZetaRational:
-    e1, e2, e3, e4 = eta
-    extra = phi_star(e1 * e2 * e3) * _p2_correction(e1 * e2 * e3 * e4)
-    return ZetaRational(theta1b(eta).coeff * extra, 1)
-
-
 @lru_cache(maxsize=None)
 def _theta_coeff(eta: tuple[int, int, int, int]) -> Fraction:
-    """zeta(2) * theta(eta) as an exact rational."""
+    """zeta(2) * theta(eta) as the Euler product of its local weights.
+
+    Zero unless eta1, eta2, eta4 are pairwise coprime; then p divides at
+    most one of them, and the weight of p | eta1 eta2 eta3 eta4 is
+    (p-1)/(p+1) if p does not divide eta3, else (p-1)(p-2)/(p(p+1)) or
+    (p-1)^2/(p(p+1)) as p divides none or one of eta1, eta2, eta4.
+    """
     if not _eta_coprime(eta):
         return Fraction(0)
     e1, e2, e3, e4 = eta
-    e14 = e1 * e4
-    ksum = Fraction(0)
-    for k in squarefree_divisors(e3):
-        if gcd(k, e14) != 1:
-            continue
-        ksum += Fraction(moebius(k), k) / phi_star(gcd(e3, k * e2))
-    return (
-        phi_star(e3 * e4)
-        * phi_star(e1 * e2 * e3)
-        * phi_star(e1 * e2 * e3 * e4)
-        * _p2_correction(e1 * e2 * e3 * e4)
-        * ksum
-    )
+    e124 = e1 * e2 * e4
+    num = den = 1
+    for p in prime_divisors(e124 * e3):
+        if e3 % p:
+            num *= p - 1
+            den *= p + 1
+        else:
+            num *= (p - 1) * (p - 2 if e124 % p else p - 1)
+            den *= p * (p + 1)
+    return Fraction(num, den)
 
 
 def theta(eta: tuple[int, int, int, int]) -> ZetaRational:
@@ -224,7 +215,7 @@ def _tree_sum(parts: list[Fraction]) -> Fraction:
 
 
 def _eta_range(k: tuple[int, int, int, int], t: int):
-    """All eta with prod eta_j^k_j <= t, yielded with that product."""
+    """All eta with prod eta_j^k_j <= t."""
     e1 = 0
     while True:
         e1 += 1
@@ -249,7 +240,7 @@ def _eta_range(k: tuple[int, int, int, int], t: int):
                     p4 = p3 * e4 ** k[3]
                     if p4 > t:
                         break
-                    yield (e1, e2, e3, e4), p4
+                    yield e1, e2, e3, e4
 
 
 def summatory_M(
@@ -272,12 +263,12 @@ def summatory_M(
     if exact:
         parts = [
             _theta_coeff(eta) / (eta[0] * eta[1] * eta[2] * eta[3])
-            for eta, _ in _eta_range(k, t)
+            for eta in _eta_range(k, t)
             if _eta_coprime(eta)
         ]
         return ZetaRational(_tree_sum(parts), 1)
     acc = 0.0
-    for eta, _ in _eta_range(k, t):
+    for eta in _eta_range(k, t):
         if _eta_coprime(eta):
             c = _theta_coeff(eta)
             if c:
@@ -294,7 +285,7 @@ def e_star_sum(B: int) -> ZetaRational:
     two sublevel sets, and this sum equals M_(2,2,3,2) - M_(3,3,4,2).
     """
     parts: list[Fraction] = []
-    for eta, _ in _eta_range(K_MAIN, B):
+    for eta in _eta_range(K_MAIN, B):
         e1, e2, e3, e4 = eta
         if e1**3 * e2**3 * e3**4 * e4**2 <= B:
             continue

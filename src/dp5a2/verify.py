@@ -117,7 +117,7 @@ def check_height_bounds(B: int = 1000) -> CheckResult:
 
 
 def check_theta_consistency(bound: int = 30) -> CheckResult:
-    """theta == theta2a == theta2b exactly on the coprime eta box.
+    """The closed theta == the staged theta2a exactly on the coprime eta box.
 
     The identity only holds when eta1, eta2, eta4 are pairwise coprime,
     which is also when theta is nonzero.  Caches are cleared per stratum
@@ -135,8 +135,7 @@ def check_theta_consistency(bound: int = 30) -> CheckResult:
                         continue
                     for e3 in range(1, bound + 1):
                         eta = (e1, e2, e3, e4)
-                        t = dirichlet.theta(eta)
-                        if t != dirichlet.theta2a(eta) or t != dirichlet.theta2b(eta):
+                        if dirichlet.theta(eta) != dirichlet.theta2a(eta):
                             return False, f"mismatch at eta={eta}"
                         n += 1
             dirichlet.theta0.cache_clear()

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from dp5a2 import counting, density, dirichlet, surface, verify
-from dp5a2.torsor import coprimality_full, coprimality_reduced, scaling_context
+from dp5a2.torsor import scaling_context
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -62,20 +62,9 @@ def test_criterion_02_bijection():
 
 
 def test_criterion_03_coprimality_equivalence():
-    mismatches = []
-    n = 0
-    for t in counting.equation_solutions(50):
-        n += 1
-        if coprimality_full(t) != coprimality_reduced(t):
-            mismatches.append(tuple(t))
-    for t in counting.equation_solutions_box(10):
-        n += 1
-        if coprimality_full(t) != coprimality_reduced(t):
-            mismatches.append(tuple(t))
-    ok = not mismatches
-    report(3, "coprimality full == reduced", ok,
-           f"{n} solutions checked" if ok else f"mismatch {mismatches[0]}")
-    assert ok
+    res = verify.check_coprimality_equiv(50, 10)
+    report(3, "coprimality full == reduced", res.passed, res.detail)
+    assert res.passed
 
 
 def test_criterion_04_alpha_exact():
@@ -111,7 +100,7 @@ def test_criterion_06_local_factor_oracle():
 
 def test_criterion_07_theta_consistency():
     res = verify.check_theta_consistency(30)
-    report(7, "theta = theta2a = theta2b, eta <= 30", res.passed, res.detail)
+    report(7, "theta = theta2a, eta <= 30", res.passed, res.detail)
     assert res.passed
 
 

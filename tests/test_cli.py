@@ -188,6 +188,8 @@ def test_verify_unknown_edge(capsys):
         ("count", "--B", "10", "--split", "--A", "nan"),
         ("count", "--B", "10", "--split", "--A=-inf"),
         ("constant", "--tol", "nan"),
+        ("count", "--B", ","),
+        ("predict", "--B", ","),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dp5a2 import dirichlet, verify
 from dp5a2.dirichlet import (
     K_CUT,
     K_MAIN,
@@ -18,7 +19,6 @@ from dp5a2.dirichlet import (
     theta,
     theta0,
     theta2a,
-    theta2b,
 )
 
 
@@ -68,13 +68,41 @@ class TestTheta:
                 for e3 in range(1, 5):
                     for e4 in range(1, 5):
                         eta = (e1, e2, e3, e4)
-                        a = theta2a(eta)
-                        b = theta2b(eta)
-                        assert a == b
                         if gcd(e1, e2) == gcd(e1, e4) == gcd(e2, e4) == 1:
-                            assert theta(eta) == a
+                            assert theta(eta) == theta2a(eta)
                         else:
                             assert not theta(eta)
+
+    def test_closed_route_shares_no_staged_code(self, monkeypatch):
+        box = [(e1, e2, e3, e4) for e1 in range(1, 7) for e2 in range(1, 7)
+               for e3 in range(1, 13) for e4 in range(1, 7)]
+        expected = [theta(eta) for eta in box]
+
+        def forbidden(*args):
+            raise AssertionError("the closed theta called a staged helper")
+
+        for name in ("theta0", "phi_star", "_p2_correction", "moebius",
+                     "squarefree_divisors"):
+            monkeypatch.setattr(dirichlet, name, forbidden)
+        dirichlet._theta_coeff.cache_clear()
+        try:
+            assert [theta(eta) for eta in box] == expected
+        finally:
+            dirichlet._theta_coeff.cache_clear()
+
+    def test_consistency_check_catches_wrong_staged_factor(self, monkeypatch):
+        right = dirichlet._p2_correction
+        monkeypatch.setattr(dirichlet, "_p2_correction",
+                            lambda n: right(n) * Fraction(101, 100))
+        dirichlet.theta0.cache_clear()
+        dirichlet._theta_coeff.cache_clear()
+        try:
+            res = verify.check_theta_consistency(12)
+        finally:
+            dirichlet.theta0.cache_clear()
+            dirichlet._theta_coeff.cache_clear()
+        assert not res.passed
+        assert res.detail.startswith("mismatch at eta=")
 
 
 class TestSummatory:
