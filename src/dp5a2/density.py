@@ -5,14 +5,42 @@ h(t0,t1,t5,t6) is the maximum of six monomial combinations; after the
 scaling substitution its entries are exactly |x_i|/B for the image
 point, so {h <= 1} is the continuous model of the height-<= B region.
 
-g0 integrates out t1.  Each height entry is |quadratic in t1| <= 1, so
-the t1-section is a finite union of intervals and g0 is computed by
-exact root intersection.  g0_subdivision measures the same section by
-bisection against the entries of h themselves; it is the independent
-reference for g0, far slower, and never used in the nested quadratures.
+g0 integrates out t1 in closed form, over numpy arrays.  Entry 0 of h is
+the guard t0^4 t5 <= 1.  Entries 1, 3, 4 and 5 are linear in t1, so
+together they keep one interval [lo, hi].  Entry 2 is q(t1) = a t1^2 + b t1
+with a = t0^2 |t6|, b = t5^2 t6^2: q <= 1 keeps [r-, r+], and q >= -1
+removes the hole (s-, s+), which exists once b^2 > 4a.  g0 is the length
+of [lo, hi] and [r-, r+] together, minus the hole.  g0_subdivision
+measures the same section by bisection against the entries of h
+themselves; it is the independent reference for g0, far slower, and
+shares no code with it.
+
+omega_infty, G2, g2_direct, g2a and g2b are all 2 * the integral of g0
+over t6 > 0 and 0 < t5 < t0^-4 between t6 limits that depend on t5; one
+engine, _region, computes them.  It substitutes t5 = w^4 and
+t6 = sqrt(2) z^2 / w^6, which maps the support t5^3 t6^2 <= 2 onto z <= 1.
+
+* Kinks.  For fixed t0 and t5, g0 is smooth in t6 except where two
+  section endpoints cross.  Each crossing is a root of a polynomial of
+  degree at most 2 in t6 (_kinks lists them; for the entry-4 endpoints the
+  cubic terms cancel), and the hole opens at t6^3 = 4 t0^2 / t5^4.  A root
+  that is no kink only adds a piece, so none is filtered.
+* Pieces.  Each z range is cut at its kinks.  A piece is also cut
+  geometrically until its ends are within a factor 8, because an active
+  endpoint may be ~1/t6, a pole at z = 0.  Right of the point z* where
+  the hole opens, the hole grows like sqrt(z - z*), so a piece there is
+  integrated in y = sqrt(z - z*).
+* Inner rule.  Gauss-Legendre of orders 16 and 32 on each piece; the
+  order-32 value counts and the difference of the two is the piece's
+  error.
+* Outer rule.  Globally adaptive Gauss-Kronrod 7-15 in w: each level
+  bisects the panels with the largest errors until the total error is
+  within tolerance, and the nodes of all new panels, times all their
+  pieces, go to g0 in a few large batches.
 
 Conventions: t0 > 0, t5 >= 0; g0 is even in t6 (t1 -> -t1 flips the
-sign of every t6-odd entry), which the t6 integrals exploit.
+sign of every t6-odd entry), so it is computed at |t6|, and the t6
+integrals run over t6 > 0 and double.
 """
 
 from __future__ import annotations
@@ -20,9 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, sqrt
+from math import fsum
 
-from scipy import integrate
+import numpy as np
 
 from .arith import primes
 from .torsor import ScalingContext
@@ -38,8 +66,6 @@ __all__ = [
     "euler_product",
     "g0",
     "g0_subdivision",
-    "g1a",
-    "g1b",
     "g2a",
     "g2b",
     "g2_direct",
@@ -72,72 +98,6 @@ def h_max(t0, t1, t5, t6):
 # ---------------------------------------------------------------------------
 # g0: the t1-section measure
 # ---------------------------------------------------------------------------
-
-
-def _t1_constraints(t0: float, t5: float, t6: float) -> list[tuple[float, float, float]]:
-    """Coefficients (a, b, c) with entry = a t1^2 + b t1 + c, |entry| <= 1."""
-    t0sq = t0 * t0
-    return [
-        (t0sq * t6, t5 * t5 * t6 * t6, 0.0),
-        (0.0, t0sq * t5 * t6, 0.0),
-        (0.0, t0sq * t0sq, t0sq * t5 * t5 * t6),
-        (0.0, t0sq * t5 * t6, t5**3 * t6 * t6),
-    ]
-
-
-def _le_set(a: float, b: float, c: float, lo: float, hi: float) -> list[tuple[float, float]]:
-    """{t in [lo, hi] : a t^2 + b t + c <= 0} as disjoint intervals."""
-    if a == 0.0:
-        if b == 0.0:
-            return [(lo, hi)] if c <= 0.0 else []
-        r = -c / b
-        seg = (lo, min(hi, r)) if b > 0.0 else (max(lo, r), hi)
-        return [seg] if seg[0] < seg[1] else []
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return [] if a > 0.0 else [(lo, hi)]
-    sq = sqrt(disc)
-    q = -(b + sq) / 2.0 if b >= 0.0 else -(b - sq) / 2.0
-    r1, r2 = q / a, c / q
-    rlo, rhi = (r1, r2) if r1 <= r2 else (r2, r1)
-    if a > 0.0:
-        seg = (max(lo, rlo), min(hi, rhi))
-        return [seg] if seg[0] < seg[1] else []
-    out = []
-    if lo < min(hi, rlo):
-        out.append((lo, min(hi, rlo)))
-    if max(lo, rhi) < hi:
-        out.append((max(lo, rhi), hi))
-    return out
-
-
-def _intersect(xs: list[tuple[float, float]], ys: list[tuple[float, float]]) -> list:
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        a = max(xs[i][0], ys[j][0])
-        b = min(xs[i][1], ys[j][1])
-        if a < b:
-            out.append((a, b))
-        if xs[i][1] < ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _g0_intervals(t0: float, t5: float, t6: float) -> float:
-    L = t0**-4
-    region = [(-L, L)]
-    for a, b, c in _t1_constraints(t0, t5, t6):
-        band = _intersect(
-            _le_set(a, b, c - 1.0, -L, L),
-            _le_set(-a, -b, -c - 1.0, -L, L),
-        )
-        region = _intersect(region, band)
-        if not region:
-            return 0.0
-    return fsum(b - a for a, b in region)
 
 
 def _quad_range(a: float, b: float, c: float, lo: float, hi: float) -> tuple[float, float]:
@@ -194,17 +154,43 @@ def g0_subdivision(t0: float, t5: float, t6: float, tol: float) -> float:
     return total
 
 
-def g0(t0: float, t5: float, t6: float) -> float:
-    """Length of {t1 : h(t0, t1, t5, t6) <= 1}, by exact root intersection."""
+def g0(t0: float, t5, t6):
+    """Length of {t1 : h(t0, t1, t5, t6) <= 1}, in closed form.
+
+    t5 and t6 may be numpy arrays, broadcast together; the result is then
+    an array, else a float.  A call on one point costs as much as a batch
+    of several hundred, so integrands pass whole arrays.
+    """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
-    if t5 < 0.0 or t0**4 * t5 > 1.0:
-        return 0.0
-    return _g0_intervals(t0, t5, t6)
+    t5 = np.asarray(t5, dtype=float)
+    t6 = np.abs(np.asarray(t6, dtype=float))
+    u = t0 * t0
+    L = t0**-4
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        st = t5 * t6
+        a = u * t6
+        b = st * st
+        c = u * st  # the t1 slope of entries 3 and 5
+        d = t5 * b  # entry 5 at t1 = 0
+        e = c * t5  # entry 4 at t1 = 0
+        lo = np.maximum(np.maximum(-L, -1.0 / c), np.maximum((-1.0 - e) * L, (-1.0 - d) / c))
+        hi = np.minimum(np.minimum(L, 1.0 / c), np.minimum((1.0 - e) * L, (1.0 - d) / c))
+        # q = 1 at r- < 0 < r+; a = 0 only at t6 = 0, where q vanishes
+        root = np.sqrt(b * b + 4.0 * a)
+        lo = np.maximum(lo, np.where(a > 0.0, -(b + root) / (2.0 * a), -np.inf))
+        hi = np.minimum(hi, 2.0 / (b + root))
+        # q = -1 at s- <= s+ < 0, the ends of the hole
+        disc = b * b - 4.0 * a
+        root = np.sqrt(np.maximum(disc, 0.0))
+        hole = np.minimum(hi, -2.0 / (b + root)) - np.maximum(lo, -(b + root) / (2.0 * a))
+        length = np.maximum(hi - lo, 0.0) - np.where(disc > 0.0, np.maximum(hole, 0.0), 0.0)
+    length = np.where((t5 >= 0.0) & (t0**4 * t5 <= 1.0), length, 0.0)
+    return float(length) if length.ndim == 0 else length
 
 
 # ---------------------------------------------------------------------------
-# quadrature plumbing
+# the quadrature engine
 # ---------------------------------------------------------------------------
 
 
@@ -219,149 +205,236 @@ class QuadratureResult:
     evaluations: int
 
 
-def _quad(f, a: float, b: float, *, epsabs: float, epsrel: float, what: str) -> tuple[float, float]:
-    out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=400, full_output=1)
-    val, err = out[0], out[1]
-    if len(out) > 3 and err > 4.0 * max(epsabs, epsrel * abs(val)):
-        raise QuadratureError(f"{what}: {out[3]}")
-    return val, err
+# Gauss-Kronrod 7-15 on [-1, 1]: the Kronrod nodes and weights of the
+# QUADPACK qk15 table, and the Gauss weights, 0 at the Kronrod-only nodes
+_XK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245])
+_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649])
+_GK_NODES = np.concatenate([-_XK, [0.0], _XK[::-1]])
+_GK_KRONROD = np.concatenate([_WK, [0.209482141084727828012999174891714], _WK[::-1]])
+_GK_GAUSS = np.zeros(15)
+_GK_GAUSS[1::2] = np.polynomial.legendre.leggauss(7)[1]
+
+# Gauss-Legendre of orders 16 and 32 on [0, 1], as one node set with a
+# weight row per order
+_GL = [np.polynomial.legendre.leggauss(n) for n in (16, 32)]
+_GL_NODES = np.concatenate([(x + 1.0) / 2.0 for x, _ in _GL])
+_GL_WEIGHTS = np.zeros((2, 48))
+_GL_WEIGHTS[0, :16] = _GL[0][1] / 2.0
+_GL_WEIGHTS[1, 16:] = _GL[1][1] / 2.0
+
+_PIECE_RATIO = 8.0  # largest end ratio of a piece not starting at z = 0
+_BATCH = 4096  # pieces per g0 call, 48 points each
+_MAX_LEVELS = 64  # bisection depth of the outer panels
+_MAX_PANELS = 400  # outer panels held at once
+_EPSABS = 1e-13  # absolute error that always suffices
 
 
-def _region_integral(t0: float, t6_floor: float, tol: float) -> QuadratureResult:
-    """2 * integral of g0 over {t5 > 0, t6 > t6_floor} (t6_floor >= 0).
+def _quadratic_roots(p2, p1, p0):
+    """Both roots of p2 x^2 + p1 x + p0: nan where complex, inf or nan where
+    a leading coefficient vanishes."""
+    q = -0.5 * (p1 + np.copysign(np.sqrt(p1 * p1 - 4.0 * p2 * p0), p1))
+    return q / p2, p0 / q
 
-    Outer substitution t5 = w^4 flattens the t5 -> 0 profile; inner
-    t6 = sqrt(2) z^2 / t5^{3/2} maps the support exactly onto z <= 1 and
-    softens the |t6|^{-1/2} behaviour of g0.
+
+def _kinks(t0: float, t5: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where g0(t0, t5, t6) may kink as a function of t6 > 0, for each t5.
+
+    Returns the roots, one row of 30 per t5 (of any sign, or nan or inf;
+    the caller keeps those inside its range), and the t6 where the hole
+    opens.  The endpoints of the section are +-L from entry 1
+    (L = t0^-4), the two ends of each of entries 3, 4 and 5, and the roots
+    of q = +-1.  Each family below is the polynomial p2 t6^2 + p1 t6 + p0
+    whose roots are where the named endpoints meet; u = t0^2, s = t5.
+    Reflection about the vertex of q, t1 -> -s^2 t6 / u - t1, keeps q and
+    swaps +-L with the entry-4 ends and the entry-3 ends with the entry-5
+    ends, so each family also covers its mirror image.
+    """
+    u = t0 * t0
+    s2 = t5 * t5
+    s3 = s2 * t5
+    families = [
+        (0.0, t5, -u),  # +-L meets an entry-3 end
+        (0.0, u * s2, -2.0),  # +-L meets an entry-4 end
+        (s3, 0.0, -2.0),  # an entry-3 end meets an entry-5 end
+    ]
+    for sg in (1.0, -1.0):
+        for rho in (1.0, -1.0):
+            families += [
+                (sg * s3, -rho * u * s2, 1.0),  # q = rho at an entry-3 end
+                (-sg * s2 / (u * u), 1.0 / u**3, -rho),  # q = rho at an entry-4 end
+                (u * s3, sg * t5, -rho * u),  # +-L meets an entry-5 end
+            ]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots = [r for f in families for r in _quadratic_roots(*f)]
+        opens = np.cbrt(4.0 * u / (s2 * s2))
+    return np.stack(roots, axis=1), opens
+
+
+def _pieces(t0: float, w: np.ndarray, zlo: np.ndarray, zhi: np.ndarray):
+    """Cut each z range [zlo, zhi] of the outer nodes w into smooth pieces.
+
+    Returns (node, a, b, zs): piece k is [a[k], b[k]] of node node[k], and
+    zs[k] is the point z* where the hole opens at that node.
+    """
+    w6 = (w**6 / SQRT2)[:, None]
+    roots, opens = _kinks(t0, w**4)
+    lo, hi = zlo[:, None], zhi[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        zstar = np.sqrt(opens[:, None] * w6)
+        cuts = np.concatenate([lo, np.sqrt(roots * w6), zstar, hi], axis=1)
+    cuts = np.clip(np.where(np.isnan(cuts), lo, cuts), lo, hi)
+    cuts.sort(axis=1)
+    node, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+    a, b = cuts[node, col], cuts[node, col + 1]
+    # geometric cuts: n equal ratios per piece, none for a piece at z = 0
+    with np.errstate(divide="ignore"):
+        n = np.where(a > 0.0, np.ceil(np.log(b / a) / math.log(_PIECE_RATIO)), 1.0)
+    n = np.maximum(n, 1.0).astype(np.int64)
+    k = np.repeat(np.arange(len(a)), n)
+    j = np.arange(len(k)) - np.repeat(np.cumsum(n) - n, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (b / a)[k]
+        sub_a = np.where(j == 0, a[k], a[k] * ratio ** (j / n[k]))
+        sub_b = np.where(j == n[k] - 1, b[k], a[k] * ratio ** ((j + 1) / n[k]))
+    return node[k], sub_a, sub_b, zstar[node[k], 0]
+
+
+def _inner(t0: float, w: np.ndarray, zlo: np.ndarray, zhi: np.ndarray):
+    """The integral of 2 z g0(t0, w^4, sqrt(2) z^2 / w^6) over [zlo, zhi] per node.
+
+    Returns the values, their errors and the number of g0 points.
+    """
+    node, a, b, zs = _pieces(t0, w, zlo, zhi)
+    # right of z*, integrate in y = sqrt(z - z*), z = z* + y^2
+    ymap = a >= zs
+    ya = np.where(ymap, np.sqrt(np.maximum(a - zs, 0.0)), a)
+    yb = np.where(ymap, np.sqrt(np.maximum(b - zs, 0.0)), b)
+    t5 = w**4
+    w6 = w**6
+    sums = np.zeros((2, len(a)))
+    for i in range(0, len(a), _BATCH):
+        sl = slice(i, i + _BATCH)
+        dy = (yb - ya)[sl, None]
+        y = ya[sl, None] + dy * _GL_NODES
+        z = np.where(ymap[sl, None], zs[sl, None] + y * y, y)
+        jac = np.where(ymap[sl, None], 2.0 * y * dy, dy)
+        nd = node[sl, None]
+        f = 2.0 * z * jac * g0(t0, t5[nd], SQRT2 * z * z / w6[nd])
+        sums[:, sl] = _GL_WEIGHTS @ f.T
+    value = np.bincount(node, weights=sums[1], minlength=len(w))
+    error = np.bincount(node, weights=np.abs(sums[1] - sums[0]), minlength=len(w))
+    return value, error, 48 * len(a)
+
+
+def _panels(t0: float, pa: np.ndarray, pb: np.ndarray, t6_limits):
+    """Kronrod values and errors of the outer panels [pa, pb], and g0 points."""
+    mid, half = (pa + pb) / 2.0, (pb - pa) / 2.0
+    w = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
+    lo, hi = np.broadcast_arrays(*t6_limits(w**4))
+    scale = w**6 / SQRT2
+    with np.errstate(invalid="ignore", over="ignore"):
+        zlo = np.minimum(np.sqrt(lo * scale), 1.0)
+        zhi = np.minimum(np.sqrt(hi * scale), 1.0)
+    value, error, points = _inner(t0, w, zlo, zhi)
+    # dt5 dt6 = 4 w^3 dw * 2 sqrt(2) z / w^6 dz, and t6 < 0 doubles it
+    f = (8.0 * SQRT2 / w**3 * value).reshape(-1, 15)
+    fe = (8.0 * SQRT2 / w**3 * error).reshape(-1, 15)
+    kronrod = half * (f @ _GK_KRONROD)
+    gauss = half * (f @ _GK_GAUSS)
+    return kronrod, np.abs(kronrod - gauss) + half * (fe @ _GK_KRONROD), points
+
+
+def _region(t0: float, tol: float, t6_limits, what: str) -> QuadratureResult:
+    """2 * the integral of g0(t0, t5, t6) over 0 < t5 < t0^-4, t6 in t6_limits(t5).
+
+    t6_limits maps an array of t5 to the bounds (lo, hi), 0 <= lo, arrays or
+    numbers.  The requested relative error is tol / 4; what names the
+    integral in a QuadratureError.
     """
     itol = tol / 4.0
-    evals = [0]
+    pa, pb = np.array([0.0]), np.array([1.0 / t0])
+    pv, pe, evals = _panels(t0, pa, pb, t6_limits)
+    for level in range(_MAX_LEVELS + 1):
+        value = fsum(pv)
+        target = max(itol * abs(value), _EPSABS)
+        error = fsum(pe)
+        if error <= target:
+            return QuadratureResult(value, error + abs(value) * itol * 1.5, evals)
+        # bisect the fewest panels whose errors hold all but half the target
+        order = np.argsort(pe)[::-1]
+        n = int(np.searchsorted(np.cumsum(pe[order]), error - target / 2.0)) + 1
+        if level == _MAX_LEVELS or len(pa) + n > _MAX_PANELS:
+            break
+        split = order[:n]
+        mid = (pa[split] + pb[split]) / 2.0
+        na, nb = np.concatenate([pa[split], mid]), np.concatenate([mid, pb[split]])
+        nv, ne, points = _panels(t0, na, nb, t6_limits)
+        keep = np.ones(len(pa), dtype=bool)
+        keep[split] = False
+        pa, pb = np.concatenate([pa[keep], na]), np.concatenate([pb[keep], nb])
+        pv, pe = np.concatenate([pv[keep], nv]), np.concatenate([pe[keep], ne])
+        evals += points
+    raise QuadratureError(
+        f"{what}: error {error:.2e} above {target:.2e} after {evals} g0 points"
+        f" on {len(pa)} panels (tol {tol:g})"
+    )
 
-    def inner(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        w6 = w**6
-        t5 = w**4
-        ulo = t6_floor * w6 / SQRT2
-        if ulo >= 1.0:
-            return 0.0
 
-        def fz(z: float) -> float:
-            evals[0] += 1
-            return 2.0 * z * g0(t0, t5, SQRT2 * z * z / w6)
-
-        val, _ = _quad(fz, sqrt(ulo), 1.0, epsabs=1e-14, epsrel=itol, what="inner t6 integral")
-        return 8.0 * SQRT2 * val / (w * w * w)
-
-    w_hi = 1.0 / t0
-    if t6_floor > 0.0:
-        # inner range is empty once t6_floor t5^{3/2} >= sqrt(2)
-        w_hi = min(w_hi, (SQRT2 / t6_floor) ** (1.0 / 6.0))
-    val, err = _quad(inner, 0.0, w_hi, epsabs=1e-13, epsrel=itol, what="outer t5 integral")
-    return QuadratureResult(val, err + abs(val) * itol * 1.5, evals[0])
+def _whole(t5):
+    return 0.0, np.inf
 
 
 def omega_infty(tol: float = 1e-6) -> QuadratureResult:
     """The triple integral of g0 over {t5 > 0} at t0 = 1."""
-    return _region_integral(1.0, 0.0, tol)
+    return _region(1.0, tol, _whole, what="omega_infty")
 
 
 def G2(t0: float, tol: float = 1e-6) -> QuadratureResult:
     """Full section integral at t0; satisfies t0^2 G2(t0) = omega_infty."""
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
-    return _region_integral(t0, 0.0, tol)
+    return _region(t0, tol, _whole, what="G2")
 
 
 # ---------------------------------------------------------------------------
-# the g1/g2 family over a scaling context
+# the g2 family over a scaling context
 # ---------------------------------------------------------------------------
-
-
-def g1a(t0: float, t6: float, ctx: ScalingContext, tol: float = 1e-6) -> float:
-    """Integral of g0 dt5 over {Y5 t5 >= |Y6 t6|, t5 > 0}."""
-    lo = ctx.y6 * abs(t6) / ctx.y5
-    hi = t0**-4
-    if t6 != 0.0:
-        hi = min(hi, (2.0 / (t6 * t6)) ** (1.0 / 3.0))
-    if lo >= hi:
-        return 0.0
-    val, _ = _quad(
-        lambda t5: g0(t0, t5, t6), lo, hi, epsabs=1e-14, epsrel=tol, what="g1a"
-    )
-    return val
-
-
-def g1b(t0: float, t5: float, ctx: ScalingContext, tol: float = 1e-6) -> float:
-    """Integral of g0 dt6 over {|Y6 t6| > max(Y5 t5, 1)}."""
-    if t5 <= 0.0:
-        return 0.0
-    t6_floor = max(ctx.y5 * t5, 1.0) / ctx.y6
-    s32 = t5**1.5
-    ulo = t6_floor * s32 / SQRT2
-    if ulo >= 1.0:
-        return 0.0
-
-    def fz(z: float) -> float:
-        return 2.0 * z * g0(t0, t5, SQRT2 * z * z / s32)
-
-    val, _ = _quad(fz, sqrt(ulo), 1.0, epsabs=1e-14, epsrel=tol, what="g1b")
-    return 2.0 * SQRT2 * val / s32
 
 
 def g2a(t0: float, ctx: ScalingContext, tol: float = 1e-5) -> QuadratureResult:
-    """Integral of g1a dt6 over {|Y6 t6| > 1}.
+    """Integral of g0 over {|Y6 t6| > 1, Y5 t5 >= |Y6 t6|}.
 
-    The upper limit is the exact end of g1a's support: its t5 range is
-    empty once Y6 t6 / Y5 exceeds t0^-4 or (2/t6^2)^{1/3}.  Integrating
-    past the support would leave the quadrature sampling only zeros.
+    For each t5 the t6 range is [1, Y5 t5] / Y6, empty until Y5 t5 > 1.
     """
-    itol = tol / 4.0
-    lo = 1.0 / ctx.y6
-    r = ctx.y5 / ctx.y6
-    hi = min(r / t0**4, 2.0**0.2 * r**0.6)
-    if hi <= lo:
-        return QuadratureResult(0.0, 0.0, 0)
-    evals = [0]
 
-    def f(t6: float) -> float:
-        evals[0] += 1
-        return g1a(t0, t6, ctx, tol=itol)
+    def limits(t5):
+        return 1.0 / ctx.y6, ctx.y5 * t5 / ctx.y6
 
-    val, err = _quad(f, lo, hi, epsabs=1e-13, epsrel=itol, what="g2a")
-    value = 2.0 * val
-    return QuadratureResult(value, 2.0 * err + abs(value) * itol * 1.5, evals[0])
+    return _region(t0, tol, limits, what="g2a")
 
 
 def g2b(t0: float, ctx: ScalingContext, tol: float = 1e-5) -> QuadratureResult:
-    """Integral of g1b dt5 over t5 > 0 (outer substitution t5 = w^4).
+    """Integral of g0 over {|Y6 t6| > max(Y5 t5, 1), t5 > 0}."""
 
-    g1b's t6 range is empty once max(Y5 t5, 1)/Y6 exceeds sqrt(2/t5^3);
-    the outer limit is clamped to that exact support end.
-    """
-    itol = tol / 4.0
-    evals = [0]
-    t5_hi = min(
-        t0**-4.0,
-        (SQRT2 * ctx.y6) ** (2.0 / 3.0),
-        (SQRT2 * ctx.y6 / ctx.y5) ** 0.4,
-    )
-    if t5_hi <= 0.0:
-        return QuadratureResult(0.0, 0.0, 0)
+    def limits(t5):
+        return np.maximum(ctx.y5 * t5, 1.0) / ctx.y6, np.inf
 
-    def f(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        evals[0] += 1
-        return 4.0 * w**3 * g1b(t0, w**4, ctx, tol=itol)
-
-    val, err = _quad(f, 0.0, t5_hi**0.25, epsabs=1e-13, epsrel=itol, what="g2b")
-    return QuadratureResult(val, err + abs(val) * itol * 1.5, evals[0])
+    return _region(t0, tol, limits, what="g2b")
 
 
 def g2_direct(t0: float, ctx: ScalingContext, tol: float = 1e-5) -> QuadratureResult:
     """Direct triple integral over {|Y6 t6| > 1, t5 > 0}; equals g2a + g2b."""
-    return _region_integral(t0, 1.0 / ctx.y6, tol)
+
+    def limits(t5):
+        return 1.0 / ctx.y6, np.inf
+
+    return _region(t0, tol, limits, what="g2_direct")
 
 
 @dataclass(frozen=True)
@@ -384,8 +457,9 @@ class GFamily:
 def g_family(ctx: ScalingContext, t0: float | None = None, tol: float = 1e-5) -> GFamily:
     """Evaluate g2a, g2b and the direct integral at t0 (default Y0).
 
-    The two regions partition {|Y6 t6| > 1, t5 > 0}, so a + b must match
-    the direct value within combined quadrature error.
+    The t6 limits of g2a and g2b split the direct integral's range at
+    Y6 t6 = Y5 t5, so a + b must match the direct value within combined
+    quadrature error.
     """
     t0 = ctx.y0 if t0 is None else t0
     return GFamily(
@@ -395,6 +469,7 @@ def g_family(ctx: ScalingContext, t0: float | None = None, tol: float = 1e-5) ->
         b=g2b(t0, ctx, tol),
         direct=g2_direct(t0, ctx, tol),
     )
+
 
 
 # ---------------------------------------------------------------------------

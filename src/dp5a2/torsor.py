@@ -214,7 +214,7 @@ def height_forms(t: TorsorPoint, B: int) -> tuple[bool, bool]:
     h(y0, alpha1/y1, eta5/y5, eta6/y6) <= 1.  They agree away from the
     boundary; only the exact form is authoritative.
     """
-    from .density import h_max  # deferred: density pulls in scipy
+    from .density import h_max  # deferred: density imports this module
 
     exact = max(abs(c) for c in psi(t)) <= B
     ctx = scaling_context(t.eta, B)

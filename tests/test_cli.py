@@ -1,4 +1,6 @@
 import json
+import time
+import warnings
 
 import pytest
 
@@ -100,9 +102,23 @@ def test_constant_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["alpha"] == "1/864"
-    assert payload["omega_infty"] == pytest.approx(27.3309282, rel=1e-4)
+    assert payload["omega_infty"] == pytest.approx(27.3306204, rel=1e-4)
     assert 0 < payload["constant"] < payload["omega_infty"]
     assert payload["p_max"] == 10000
+
+
+def test_unreachable_tolerance_exits_3(capsys):
+    # omega_infty cannot be computed to 1e-15; the engine stops at its panel cap
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would escape main
+        code, out, err = run(capsys, "constant", "--tol", "1e-15", "--pmax", "1000")
+    assert time.perf_counter() - t0 < 30
+    assert code == 3
+    assert out == ""
+    assert err.startswith("quadrature failure: omega_infty:")
+    for word in ("Traceback", "LinAlgError", "RuntimeWarning"):
+        assert word not in err
 
 
 def test_predict_degenerate_B(capsys):

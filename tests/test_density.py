@@ -1,23 +1,28 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
+from dp5a2 import density
 from dp5a2.density import (
     G2,
     alpha_constant,
     euler_product,
     g0,
     g0_subdivision,
-    g1a,
-    g1b,
+    g2_direct,
+    g2a,
+    g2b,
     g_family,
     h_max,
     omega_infty,
 )
 from dp5a2.torsor import scaling_context
 
-# frozen by the first converged run; criterion checks recompute it anyway
-OMEGA_REF = 27.33092822
+# omega_infty(1e-11) = 27.3306204235 +- 1.5e-10; the criterion checks
+# recompute it anyway
+OMEGA_REF = 27.33062042
 
 
 def test_h_max_values():
@@ -67,6 +72,16 @@ def test_g0_methods_agree():
         b = g0_subdivision(t0, t5, t6, 1e-8)
         worst = max(worst, abs(a - b))
     assert worst <= 1e-7
+    # arrays on the quadrature's own path: t5 = w^4 and t6 = sqrt(2) z^2 / w^6
+    # reach 1e-8 and 1e12; the bisection resolves 1e-9 t5, the check asks 1e-7 t5
+    w = np.exp(np.array([rng.uniform(math.log(0.01), 0.0) for _ in range(60)]))
+    z = np.array([rng.uniform(0.0, 1.0) for _ in range(60)])
+    t5, t6 = w**4, math.sqrt(2.0) * z * z / w**6
+    a = g0(1.0, t5, t6)
+    b = [g0_subdivision(1.0, x, y, 1e-9 * x) for x, y in zip(t5, t6)]
+    assert a.shape == t5.shape
+    assert np.all(np.abs(a - b) <= 1e-7 * t5)
+    assert np.count_nonzero(a) >= 30
     # the same domain guards
     assert g0_subdivision(1, 2.0, 0.0, 1e-8) == g0(1, 2.0, 0.0) == 0.0
     assert g0_subdivision(1, -0.1, 0.0, 1e-8) == g0(1, -0.1, 0.0) == 0.0
@@ -94,6 +109,10 @@ def test_omega_and_scaling():
     om = omega_infty(1e-5)
     assert om.value == pytest.approx(OMEGA_REF, rel=1e-6)
     assert om.error_estimate < 1e-3
+    # four outer schemes agree on 27.33062042351 within 3e-11
+    tight = omega_infty(1e-11)
+    assert tight.error_estimate < 1e-9
+    assert tight.value == pytest.approx(27.33062042351, abs=1e-9)
     v = G2(1.5, 1e-5)
     assert 1.5**2 * v.value == pytest.approx(om.value, rel=1e-4)
 
@@ -105,13 +124,28 @@ def test_g2_decomposition():
     assert fam.a.value > 0 and fam.b.value > 0
 
 
-def test_g1a_g1b_basics():
+@pytest.mark.parametrize("w", [0.02, 0.05, 0.0736, 0.1, 0.5, 0.9])
+def test_inner_integral_matches_midpoint(w):
+    # the kink-split inner z integral against a 10^6-point midpoint rule;
+    # nested scalar quadrature was 16 w^3 too high here for w < 0.09
+    n = 10**6
+    z = (np.arange(n) + 0.5) / n
+    mid = np.sum(2.0 * z * g0(1.0, w**4, math.sqrt(2.0) * z * z / w**6)) / n
+    value, error, _ = density._inner(1.0, np.array([w]), np.zeros(1), np.ones(1))
+    assert value[0] == pytest.approx(mid, rel=1e-7)
+    assert error[0] <= 1e-9 * value[0]
+
+
+def test_g2_family_limits():
+    # at t0 = Y0 = 1, t5 < t0^-4 = 1 / Y5: the Y5 t5 > 1 window of g2a is closed
+    closed = scaling_context((2, 1, 1, 1), 4)
+    assert closed.y0 == closed.y5 == 1.0
+    a = g2a(closed.y0, closed)
+    assert a.value == 0.0 and a.evaluations == 0
+    assert g2b(closed.y0, closed) == g2_direct(closed.y0, closed)
     ctx = scaling_context((1, 1, 1, 1), 32)
-    # g1a vanishes once the t5 window closes
-    assert g1a(ctx.y0, 1e9, ctx) == 0.0
-    assert g1b(ctx.y0, 0.0, ctx) == 0.0
-    assert g1a(ctx.y0, 0.1, ctx) > 0
-    assert g1b(ctx.y0, 0.1, ctx) > 0
+    assert g2a(ctx.y0, ctx).value > 0
+    assert g2b(ctx.y0, ctx).value > 0
 
 
 def test_alpha_constant():

@@ -1,6 +1,9 @@
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import dp5a2
 
@@ -24,3 +27,14 @@ def test_public_names_resolve():
         if not n.startswith("_") and not inspect.ismodule(v)
     }
     assert exported - declared == set()
+
+
+def test_import_does_not_load_scipy():
+    root = os.path.dirname(os.path.dirname(dp5a2.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import dp5a2, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
