@@ -353,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     except density.QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 3
+    except dirichlet.MainTermIdentityError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -29,6 +29,7 @@ __all__ = [
     "K_CUT",
     "K_MAIN",
     "MainTerm",
+    "MainTermIdentityError",
     "ZetaRational",
     "delta_k",
     "e_star_sum",
@@ -295,6 +296,10 @@ def e_star_sum(B: int) -> ZetaRational:
     return ZetaRational(_tree_sum(parts), 1)
 
 
+class MainTermIdentityError(ArithmeticError):
+    """The two exact routes to M_(2,2,3,2)(B) - M_(3,3,4,2)(B) disagree."""
+
+
 @dataclass(frozen=True)
 class MainTerm:
     B: int
@@ -308,7 +313,8 @@ def predicted_main_term(B: int, omega: float, *, cross_check: bool | None = None
     """omega * B * (M_(2,2,3,2)(B) - M_(3,3,4,2)(B)).
 
     cross_check (default for B <= 10^4) re-derives the difference as the
-    direct shell sum and requires exact agreement.
+    direct shell sum and raises MainTermIdentityError unless the two agree
+    exactly.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -320,7 +326,7 @@ def predicted_main_term(B: int, omega: float, *, cross_check: bool | None = None
         diff = m1 - m2
         shell = e_star_sum(B)
         if diff != shell:
-            raise ArithmeticError(
+            raise MainTermIdentityError(
                 f"main-term identity failed at B={B}: {diff} != {shell}"
             )
         return MainTerm(B, omega, float(m1), float(m2), omega * B * float(diff))

@@ -210,11 +210,47 @@ LINES: tuple[Line, ...] = (
 )
 
 
-def in_U(p: Sequence[int]) -> bool:
-    """True iff p lies on S but on none of the four lines."""
-    if not is_on_surface(p):
-        raise ValueError(f"point {tuple(p)} is not on the surface")
-    return not any(p in line for line in LINES)
+_IN_U_CHUNK = 1 << 16  # rows per block of in_U: bounds its temporaries at any N
+
+
+def in_U(p):
+    """True iff p lies on S but on none of the four lines.
+
+    p is one point (returns a bool) or an (N, 6) integer array (returns a
+    boolean mask of length N).  Raises ValueError if any row is off S.
+
+    The line test is one product with the integer matrix of the
+    annihilator rows of LINES, read at call time: a row lies on a line iff
+    that line's block of the product vanishes.  The result is exact for
+    any Python ints.  The arithmetic runs in int64 when every |x_i| < 2^30
+    (each quadric is a sum of at most three products, below 3 * 2^60) and
+    the annihilator rows are small enough to stay below 2^62 likewise;
+    otherwise it runs on Python ints (dtype=object).  Rows are processed in
+    blocks, so the temporaries do not grow with N.
+    """
+    x = np.asarray(p)
+    single = x.ndim == 1
+    if x.shape[-1:] != (6,) or x.ndim > 2:
+        raise ValueError(f"in_U takes one point or an (N, 6) array, not shape {x.shape}")
+    x = np.atleast_2d(x)
+    if x.dtype != object and x.dtype.kind not in "iu":
+        raise TypeError(f"in_U needs integer coordinates, not {x.dtype}")
+    rows = [w for line in LINES for w in line.annihilator]
+    starts = np.cumsum([0] + [len(line.annihilator) for line in LINES[:-1]])
+    width = max(sum(abs(a) for a in w) for w in rows)
+    big = max(-int(x.min()), int(x.max())) if x.size else 0
+    dtype = np.int64 if big < 2**30 and big * width < 2**62 else object
+    x = x.astype(dtype, copy=False)
+    ann_t = np.array(rows, dtype=dtype).T
+    mask = np.empty(len(x), dtype=bool)
+    for lo in range(0, len(x), _IN_U_CHUNK):
+        block = x[lo : lo + _IN_U_CHUNK]
+        off = ~np.logical_and.reduce([q == 0 for q in quadric_values(block.T)])
+        if off.any():
+            raise ValueError(f"point {tuple(block[off.argmax()].tolist())} is not on the surface")
+        on_line = np.logical_and.reduceat(block @ ann_t == 0, starts, axis=1)
+        mask[lo : lo + _IN_U_CHUNK] = ~on_line.any(axis=1)
+    return bool(mask[0]) if single else mask
 
 
 # ---------------------------------------------------------------------------
@@ -222,90 +258,82 @@ def in_U(p: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _emit(out: set[ProjectivePoint], cols: tuple[np.ndarray, ...]) -> None:
-    """Append all primitive surface points from parallel coordinate arrays.
+def _box_candidates(bound: int) -> np.ndarray:
+    """Integer vectors of height <= bound that may lie on S, as (N, 6) int32.
 
-    Coordinates are assumed sign-normalized by construction; every candidate
-    is still filtered through the full quadric system.
+    For x0 >= 1 the quadrics force x3 = -x1(x1+x4)/x0, x5 = -x4(x1+x4)/x0,
+    x2 = x1*x5/x0.  The (x1, x4) grid is sorted once by
+    max(|x1(x1+x4)|, |x4(x1+x4)|); the pairs with |x3|, |x5| <= bound at a
+    given x0 are the prefix where that key is <= bound*x0, and only there
+    are the divisions tested for exactness.  The x0 = 0 slice collapses
+    (over the quadrics x1(x1+x4) = x4(x1+x4) = 0) to x4 = -x1, which splits
+    into the families (0,t,u,0,-t,0) and, for t = 0, (0,0,u,s,0,0) and
+    (0,0,u,0,0,s) with x3*x5 = 0.  Every row is sign-normalized; none is
+    yet checked against the remaining quadrics or for primitivity.
     """
-    mask = np.ones(cols[0].shape, dtype=bool)
-    for q in quadric_values(cols):
-        mask &= q == 0
-    g = np.zeros(cols[0].shape, dtype=np.int64)
-    for c in cols:
-        g = np.gcd(g, np.abs(c))
-    mask &= g == 1
-    idx = np.nonzero(mask)
-    stacked = np.stack([c[idx] for c in cols], axis=-1)
-    for row in stacked.tolist():
-        out.add(ProjectivePoint(*row))
+    # every product below is at most 2 * BRUTE_FORCE_MAX^2 in size: int32 is exact
+    rng = np.arange(-bound, bound + 1, dtype=np.int32)
+    x1 = np.repeat(rng, rng.size)
+    x4 = np.tile(rng, rng.size)
+    n3 = x1 * (x1 + x4)
+    n5 = x4 * (x1 + x4)
+    key = np.maximum(np.abs(n3), np.abs(n5))
+    order = np.argsort(key, kind="stable")
+    key, x1, x4, n3, n5 = key[order], x1[order], x4[order], n3[order], n5[order]
+
+    # x0 >= 1 (sign-normalized since the leading coordinate is positive);
+    # q * x0 == n tests x0 | n, much faster than n % x0 == 0 in numpy
+    blocks = []
+    for x0 in range(1, bound + 1):
+        k = np.searchsorted(key, bound * x0, side="right")
+        q3 = n3[:k] // x0
+        i = np.flatnonzero(q3 * x0 == n3[:k])
+        q5 = n5[i] // x0
+        ok = q5 * x0 == n5[i]
+        i, x3, x5 = i[ok], -q3[i[ok]], -q5[ok]
+        n2 = x1[i] * x5
+        x2 = n2 // x0
+        ok = (x2 * x0 == n2) & (np.abs(x2) <= bound)
+        i = i[ok]
+        block = np.empty((i.size, 6), dtype=np.int32)
+        block[:, 0] = x0
+        block[:, 1] = x1[i]
+        block[:, 2] = x2[ok]
+        block[:, 3] = x3[ok]
+        block[:, 4] = x4[i]
+        block[:, 5] = x5[ok]
+        blocks.append(block)
+
+    # x0 = 0, t >= 1:  (0, t, u, 0, -t, 0), (0, 0, t, u, 0, 0), (0, 0, t, 0, 0, u)
+    t = np.repeat(np.arange(1, bound + 1, dtype=np.int32), rng.size)
+    u = np.tile(rng, bound)
+    fam = np.zeros((3, t.size, 6), dtype=np.int32)
+    fam[0, :, 1], fam[0, :, 2], fam[0, :, 4] = t, u, -t
+    fam[1, :, 2], fam[1, :, 3] = t, u
+    fam[2, :, 2], fam[2, :, 5] = t, u
+    blocks.append(fam.reshape(-1, 6))
+    blocks.append(np.array([(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)], dtype=np.int32))
+    return np.concatenate(blocks)
 
 
 @lru_cache(maxsize=8)
 def brute_force_points(bound: int) -> frozenset[ProjectivePoint]:
     """All points of S with height <= bound, as normalized primitive tuples.
 
-    For x0 >= 1 the quadrics force x3 = -x1(x1+x4)/x0, x5 = -x4(x1+x4)/x0,
-    x2 = x1*x5/x0; candidates where those divisions are exact are filtered
-    through the remaining quadrics.  The x0 = 0 slice collapses (over the
-    quadrics x1(x1+x4) = x4(x1+x4) = 0) to x4 = -x1, which splits into the
-    families (0,t,u,0,-t,0) and, for t = 0, (0,0,u,s,0,0)/(0,0,u,0,0,s)
-    with x3*x5 = 0; each family is enumerated and re-verified.
+    The candidates of _box_candidates are filtered once, as one array,
+    through the full quadric system and the gcd.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound > BRUTE_FORCE_MAX:
         raise ValueError(f"brute force box {bound} exceeds feasibility bound {BRUTE_FORCE_MAX}")
-    out: set[ProjectivePoint] = set()
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-
-    # x0 >= 1 (sign-normalized since the leading coordinate is positive)
-    for x0 in range(1, bound + 1):
-        x1 = rng[:, None]
-        x4 = rng[None, :]
-        s = x1 + x4
-        n3 = x1 * s
-        n5 = x4 * s
-        ok = (n3 % x0 == 0) & (n5 % x0 == 0)
-        x3 = -(n3 // x0)
-        x5 = -(n5 // x0)
-        ok &= (np.abs(x3) <= bound) & (np.abs(x5) <= bound)
-        n2 = x1 * x5
-        ok &= n2 % x0 == 0
-        x2 = n2 // x0
-        ok &= np.abs(x2) <= bound
-        idx = np.nonzero(ok)
-        cols = (
-            np.full(idx[0].shape, x0, dtype=np.int64),
-            np.broadcast_to(x1, ok.shape)[idx],
-            x2[idx],
-            x3[idx],
-            np.broadcast_to(x4, ok.shape)[idx],
-            x5[idx],
-        )
-        _emit(out, cols)
-
-    # x0 = 0, x1 = t >= 1:  (0, t, u, 0, -t, 0)
-    t = np.arange(1, bound + 1, dtype=np.int64)[:, None]
-    u = rng[None, :]
-    shape = np.broadcast_shapes(t.shape, u.shape)
-    zero = np.zeros(shape, dtype=np.int64)
-    tt = np.broadcast_to(t, shape)
-    uu = np.broadcast_to(u, shape)
-    _emit(out, (zero, tt, uu, zero, -tt, zero))
-
-    # x0 = x1 = x4 = 0 and x3*x5 = 0:  (0,0,u,s,0,0) and (0,0,u,0,0,s), u >= 1
-    up = np.arange(1, bound + 1, dtype=np.int64)[:, None]
-    sv = rng[None, :]
-    shape = np.broadcast_shapes(up.shape, sv.shape)
-    zero = np.zeros(shape, dtype=np.int64)
-    uu = np.broadcast_to(up, shape)
-    ss = np.broadcast_to(sv, shape)
-    _emit(out, (zero, zero, uu, ss, zero, zero))
-    _emit(out, (zero, zero, uu, zero, zero, ss))
-    out.add(ProjectivePoint(0, 0, 0, 1, 0, 0))
-    out.add(ProjectivePoint(0, 0, 0, 0, 0, 1))
-    return frozenset(out)
+    rows = _box_candidates(bound)
+    keep = np.logical_and.reduce([q == 0 for q in quadric_values(rows.T)])
+    keep &= np.gcd.reduce(rows, axis=1) == 1
+    rows = rows[keep] + bound
+    # one shared int object per coordinate value keeps the set small
+    value = np.arange(-bound, bound + 1).astype(object)
+    return frozenset(map(ProjectivePoint._make, zip(*value[rows].T.tolist())))
 
 
 def find_singular_points(search_height: int = 3) -> list[ProjectivePoint]:

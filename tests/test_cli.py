@@ -146,6 +146,19 @@ def test_predict_rows_sorted_and_finite(capsys):
         assert r["ratio"] > 0
 
 
+def test_predict_identity_failure_exits_4(capsys, monkeypatch):
+    from dp5a2 import dirichlet
+
+    real = dirichlet.e_star_sum
+    one = dirichlet.ZetaRational(1, 1)
+    monkeypatch.setattr(dirichlet, "e_star_sum", lambda B: real(B) + one)
+    code, out, err = run(capsys, "predict", "--B", "100", "--tol", "0.05", "--pmax", "1000")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("verification failure: main-term identity failed at B=100")
+    assert "Traceback" not in err
+
+
 def test_config_file_and_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("# defaults\nformat = csv\nmethod = naive\nsplit = true\n")

@@ -29,9 +29,22 @@ def test_n_of_1_points():
 
 
 def test_engines_agree_small():
-    for B in (1, 2, 5, 10, 25, 50):
-        assert count_naive(B).count == KNOWN_COUNTS[B]
-        assert count_torsor(B).count == KNOWN_COUNTS[B]
+    for B in [*range(1, 41), 50]:
+        n = count_torsor(B).count
+        assert count_naive(B).count == n, B
+        assert n == KNOWN_COUNTS.get(B, n), B
+
+
+def test_naive_checks_x0_zero_points(monkeypatch):
+    # without the line {(0, t, u, 0, -t, 0)} its points look like U points
+    # with x0 = 0, which the oracle must refuse
+    from dp5a2 import surface
+
+    line = surface.Line.through((0, 1, 0, 0, -1, 0), (0, 0, 1, 0, 0, 0))
+    assert line in surface.LINES
+    monkeypatch.setattr(surface, "LINES", tuple(l for l in surface.LINES if l != line))
+    with pytest.raises(RuntimeError, match="x0 = 0 surface point"):
+        count_naive(10)
 
 
 def test_naive_refuses_large_B():

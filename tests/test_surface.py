@@ -1,6 +1,7 @@
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from dp5a2.surface import (
@@ -93,8 +94,8 @@ def test_lines_cover_x0_zero_points():
 
 
 def test_in_U():
-    assert in_U(ProjectivePoint(1, 0, 0, 0, -1, -1))
-    assert not in_U(P_SING)
+    assert in_U(ProjectivePoint(1, 0, 0, 0, -1, -1)) is True  # one point: a bool
+    assert in_U(P_SING) is False
     # the x0 > 0 line family (s, t, 0, 0, -t, 0)
     assert is_on_surface(ProjectivePoint(1, 1, 0, 0, -1, 0))
     assert not in_U(ProjectivePoint(1, 1, 0, 0, -1, 0))
@@ -108,3 +109,34 @@ def test_brute_force_points_are_valid():
         assert is_on_surface(p)
         assert height(p) <= 5
         assert normalize(tuple(p)) == p
+
+
+def test_in_U_array_matches_reference():
+    # the one-pass mask against the scalar quadrics and Line.__contains__,
+    # x0 = 0 points included
+    pts = sorted(brute_force_points(60))
+    mask = in_U(np.array(pts))
+    assert mask.dtype == bool and mask.shape == (len(pts),)
+    expected = [is_on_surface(p) and not any(p in line for line in LINES) for p in pts]
+    assert mask.tolist() == expected
+    assert any(p.x0 == 0 for p in pts) and 0 < sum(expected) < len(pts)
+
+
+def test_in_U_array_rejects_off_surface_row():
+    rows = sorted(brute_force_points(5))[:10] + [(1, 1, 1, 1, 1, 1)]
+    with pytest.raises(ValueError, match=r"\(1, 1, 1, 1, 1, 1\)"):
+        in_U(np.array(rows))
+
+
+def test_in_U_exact_beyond_int64():
+    from dp5a2.torsor import TorsorPoint, psi
+
+    e6, a1 = 2**20 + 1, 2**20 + 3
+    u_point = psi(TorsorPoint(1, 1, 1, 1, 1, e6, a1, -(e6 + a1)))  # x3*x5 ~ 2^81
+    line_point = (0, 2**40, 1, 0, -2**40, 0)
+    assert in_U(u_point) is True
+    assert in_U(line_point) is False
+    assert in_U([u_point, line_point]).tolist() == [True, False]
+    # x0*x2 = 2^64 wraps to 0 in int64; the exact route sees it off S
+    with pytest.raises(ValueError):
+        in_U((2**32, 0, 2**32, 0, 0, 0))
