@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: count, constant, verify, predict.  Output formats: text
-(default), csv, json; the CSV schema is fixed as
+(default), json, and csv for count and predict; the CSV schema is fixed as
 B,method,count,na,nb1,nb2,main_term,ratio,seconds and identical configs
 produce identical rows apart from the seconds column.
 
@@ -58,9 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rational point counts on a singular quintic del Pezzo surface.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # RunConfig holds the defaults (None means "not given"); only predict --B has one here
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+        p.add_argument("--format", choices=formats)
         p.add_argument("--workers", type=int, default=None,
                        help="parallel strata (default: DP5A2_WORKERS or 1)")
         p.add_argument("--config", default=None,
@@ -68,18 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count points of height <= B")
     p.add_argument("--B", type=_int_list, required=True, metavar="B[,B...]")
-    p.add_argument("--method", choices=("naive", "torsor", "both"), default="torsor")
+    p.add_argument("--method", choices=("naive", "torsor", "both"))
     p.add_argument("--split", action="store_true",
                    help="classify solutions by the eta5/|eta6| and base-size cuts")
-    p.add_argument("--A", type=float, default=28.0)
-    common(p)
+    p.add_argument("--A", type=float)
+    common(p, ("text", "csv", "json"))
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("constant", help="the leading constant and its factors")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--pmax", type=int, default=10**6)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--pmax", type=int)
     p.add_argument("--json", action="store_true", help="shorthand for --format json")
-    common(p)
+    common(p, ("text", "json"))  # writes no CSV rows
     p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("verify", help="run the self-check suite")
@@ -87,14 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=int, default=None, help="bijection check bound")
     p.add_argument("--drop-edge", default=None, metavar="V1,V2",
                    help="fault injection: remove an edge from the coprimality graph")
-    common(p)
+    common(p, ("text", "json"))  # writes no CSV rows
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("predict", help="counts against the predicted main term")
     p.add_argument("--B", type=_int_list, default=[1000, 10000], metavar="B[,B...]")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--pmax", type=int, default=10**6)
-    common(p)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--pmax", type=int)
+    common(p, ("text", "csv", "json"))
     p.set_defaults(func=cmd_predict)
 
     return parser

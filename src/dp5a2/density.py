@@ -520,8 +520,8 @@ class PeyreConstant:
 
 def peyre_constant(tol: float = 1e-6, p_max: int = 10**6) -> PeyreConstant:
     """Leading constant alpha * omega_infty * (Euler product)."""
+    eu = euler_product(p_max)  # first: a bad p_max fails before the integration
     om = omega_infty(tol)
-    eu = euler_product(p_max)
     a = alpha_constant()
     rel_om = om.error_estimate / abs(om.value) if om.value else 0.0
     rel = rel_om + eu.tail_rel_bound + rel_om * eu.tail_rel_bound

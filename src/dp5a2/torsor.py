@@ -7,7 +7,9 @@ eta6 != 0, alphas in Z, satisfying the torsor equation
 
 plus coprimality conditions read off a graph on the eight coordinates:
 two coordinates must be coprime exactly when their vertices are NOT
-adjacent.  The map psi sends such a point to a rational point of the
+adjacent.  TorsorPoint is a tuple whose fields are in VERTICES order
+(E1..E6, A1, A2 -> eta1..eta6, alpha1, alpha2), so the graph's pairs are
+read by index.  The map psi sends such a point to a rational point of the
 surface with x0 > 0, and is a bijection onto the points of U (one torsor
 tuple per point).
 
@@ -26,8 +28,10 @@ with the gcd(0, n) = |n| convention doing real work when an alpha is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .surface import ProjectivePoint, is_on_surface
 
@@ -65,14 +69,19 @@ EDGES: frozenset[frozenset[str]] = frozenset(
 
 
 def required_coprime_pairs(edges: frozenset[frozenset[str]] = EDGES) -> tuple[tuple[str, str], ...]:
-    """The 18 non-adjacent vertex pairs, which must be coprime."""
+    """The non-adjacent vertex pairs (18 in the full graph), which must be coprime."""
     return tuple(
         (a, b) for a, b in combinations(VERTICES, 2) if frozenset((a, b)) not in edges
     )
 
 
-@dataclass(frozen=True)
-class TorsorPoint:
+@lru_cache(maxsize=16)  # the full graph and its ten one-edge prunings fit
+def _required_index_pairs(edges: frozenset[frozenset[str]]) -> tuple[tuple[int, int], ...]:
+    """required_coprime_pairs(edges) as positions in VERTICES, i.e. in a TorsorPoint."""
+    return tuple((VERTICES.index(a), VERTICES.index(b)) for a, b in required_coprime_pairs(edges))
+
+
+class _TorsorFields(NamedTuple):
     eta1: int
     eta2: int
     eta3: int
@@ -82,46 +91,34 @@ class TorsorPoint:
     alpha1: int
     alpha2: int
 
-    def __post_init__(self) -> None:
-        if min(self.eta1, self.eta2, self.eta3, self.eta4, self.eta5) < 1:
+
+class TorsorPoint(_TorsorFields):
+    """A torsor tuple; its fields are in VERTICES order."""
+
+    __slots__ = ()
+
+    def __new__(cls, eta1, eta2, eta3, eta4, eta5, eta6, alpha1, alpha2):
+        if min(eta1, eta2, eta3, eta4, eta5) < 1:
             raise ValueError("eta1..eta5 must be positive")
-        if self.eta6 == 0:
+        if eta6 == 0:
             raise ValueError("eta6 must be nonzero")
+        return super().__new__(cls, eta1, eta2, eta3, eta4, eta5, eta6, alpha1, alpha2)
 
     @property
     def eta(self) -> tuple[int, int, int, int]:
         return (self.eta1, self.eta2, self.eta3, self.eta4)
 
-    def __iter__(self):
-        yield from (
-            self.eta1, self.eta2, self.eta3, self.eta4,
-            self.eta5, self.eta6, self.alpha1, self.alpha2,
-        )
-
     def satisfies_equation(self) -> bool:
         return self.eta4 * self.eta5**2 * self.eta6 + self.eta1 * self.alpha1 + self.eta2 * self.alpha2 == 0
-
-    def value(self, vertex: str) -> int:
-        return {
-            "E1": self.eta1,
-            "E2": self.eta2,
-            "E3": self.eta3,
-            "E4": self.eta4,
-            "E5": self.eta5,
-            "E6": self.eta6,
-            "A1": self.alpha1,
-            "A2": self.alpha2,
-        }[vertex]
 
 
 def coprimality_full(t: TorsorPoint, edges: frozenset[frozenset[str]] = EDGES) -> bool:
     """Graph conditions: every non-adjacent coordinate pair is coprime.
 
-    The edges argument exists for fault-injection tests only.
+    edges is the graph's edge set; fault injection (the CLI's --drop-edge
+    and the tests) passes a pruned one.
     """
-    return all(
-        gcd(t.value(a), t.value(b)) == 1 for a, b in required_coprime_pairs(edges)
-    )
+    return all(gcd(t[i], t[j]) == 1 for i, j in _required_index_pairs(edges))
 
 
 def coprimality_reduced(t: TorsorPoint) -> bool:
@@ -150,8 +147,7 @@ def psi(t: TorsorPoint) -> ProjectivePoint:
     Fails loudly if the image is imprimitive or off the surface, either of
     which would mean t violates the torsor equation or the coprimalities.
     """
-    e1, e2, e3, e4, e5, e6 = t.eta1, t.eta2, t.eta3, t.eta4, t.eta5, t.eta6
-    a1, a2 = t.alpha1, t.alpha2
+    e1, e2, e3, e4, e5, e6, a1, a2 = t
     p = ProjectivePoint(
         e1**2 * e2**2 * e3**3 * e4**2 * e5,
         e1**2 * e2 * e3**2 * e4 * a1,

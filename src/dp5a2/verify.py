@@ -76,17 +76,18 @@ def check_coprimality_equiv(
     """
 
     def run():
-        n = 0
-        for t in counting.equation_solutions(height_bound):
-            n += 1
-            if coprimality_full(t, edges) != coprimality_reduced(t):
-                return False, f"mismatch at {tuple(t)} (height scan)"
-        m = 0
-        for t in counting.equation_solutions_box(box_bound):
-            m += 1
-            if coprimality_full(t, edges) != coprimality_reduced(t):
-                return False, f"mismatch at {tuple(t)} (box scan)"
-        return True, f"{n} height-bounded and {m} box solutions agree"
+        sizes = []
+        for scan, solutions in (
+            ("height", counting.equation_solutions(height_bound)),
+            ("box", counting.equation_solutions_box(box_bound)),
+        ):
+            n = 0
+            for t in solutions:
+                n += 1
+                if coprimality_full(t, edges) != coprimality_reduced(t):
+                    return False, f"mismatch at {tuple(t)} ({scan} scan)"
+            sizes.append(n)
+        return True, f"{sizes[0]} height-bounded and {sizes[1]} box solutions agree"
 
     return _timed("coprimality-equivalence", run)
 

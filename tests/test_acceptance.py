@@ -65,6 +65,7 @@ def test_criterion_03_coprimality_equivalence():
     res = verify.check_coprimality_equiv(50, 10)
     report(3, "coprimality full == reduced", res.passed, res.detail)
     assert res.passed
+    assert res.detail == "2316 height-bounded and 1262720 box solutions agree"
 
 
 def test_criterion_04_alpha_exact():

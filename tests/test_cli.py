@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from dp5a2.cli import CSV_COLUMNS, main
+from dp5a2.cli import CSV_COLUMNS, RunConfig, _to_config, build_parser, main
 
 HEADER = "B,method,count,na,nb1,nb2,main_term,ratio,seconds"
 
@@ -225,6 +225,28 @@ def test_bad_input_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("subcommand", ["constant", "verify"])
+def test_csv_refused_where_no_rows_are_written(capsys, subcommand):
+    code, out, err = run(capsys, subcommand, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["count", "--B", "5"], RunConfig("count", Bs=[5])),
+        (["constant"], RunConfig("constant")),
+        (["verify"], RunConfig("verify")),
+        (["predict"], RunConfig("predict", Bs=[1000, 10000])),
+    ],
+)
+def test_defaults_come_from_run_config(monkeypatch, argv, expected):
+    monkeypatch.delenv("DP5A2_WORKERS", raising=False)
+    assert _to_config(build_parser().parse_args(argv)) == expected
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])

@@ -17,6 +17,7 @@ from dp5a2.density import (
     g_family,
     h_max,
     omega_infty,
+    peyre_constant,
 )
 from dp5a2.torsor import scaling_context
 
@@ -152,6 +153,15 @@ def test_alpha_constant():
     from fractions import Fraction
 
     assert alpha_constant() == Fraction(1, 864)
+
+
+def test_peyre_constant_rejects_pmax_before_integrating(monkeypatch):
+    def must_not_run(tol):
+        raise AssertionError("omega_infty ran before p_max was checked")
+
+    monkeypatch.setattr(density, "omega_infty", must_not_run)
+    with pytest.raises(ValueError, match="p_max must be >= 2"):
+        peyre_constant(1e-15, 1)
 
 
 def test_euler_product_cutoff_consistency():
