@@ -34,12 +34,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, isqrt
 from multiprocessing import Pool
 from typing import Iterator
-
-import numpy as np
 
 from .arith import moebius, squarefree_divisors
 from .surface import BRUTE_FORCE_MAX, ProjectivePoint, brute_force_points, in_U
@@ -80,22 +77,21 @@ class CountResult:
 def count_naive(B: int) -> CountResult:
     """Count U-points of height <= B by brute force over the quadrics.
 
-    The box points are stacked into one (N, 6) array and classified by a
-    single in_U call.  Every x0 = 0 surface point in the box must lie on
-    one of the four lines; the same mask verifies that, it is not assumed.
-    ProjectivePoints are built for the U rows only.  brute_force_points
-    refuses B outside 1..NAIVE_MAX_B with ValueError.
+    The box points come from brute_force_points as one (N, 6) array, one
+    row per point, and are classified by a single in_U call.  Every x0 = 0
+    surface point in the box must lie on one of the four lines; the same
+    mask verifies that, it is not assumed.  ProjectivePoints are built for
+    the U rows only.  brute_force_points refuses B outside 1..NAIVE_MAX_B
+    with ValueError.
     """
     t0 = time.perf_counter()
-    pts = brute_force_points(B)
-    arr = np.fromiter(chain.from_iterable(pts), dtype=np.int64, count=6 * len(pts))
-    arr = arr.reshape(-1, 6)
-    mask = in_U(arr)
-    stray = mask & (arr[:, 0] == 0)
+    rows = brute_force_points(B)
+    mask = in_U(rows)
+    stray = mask & (rows[:, 0] == 0)
     if stray.any():
-        p = tuple(arr[stray.argmax()].tolist())
+        p = tuple(rows[stray.argmax()].tolist())
         raise RuntimeError(f"x0 = 0 surface point {p} is on no line")
-    upts = frozenset(map(ProjectivePoint._make, arr[mask].tolist()))
+    upts = frozenset(map(ProjectivePoint._make, rows[mask].tolist()))
     return CountResult(
         B=B,
         method="naive",

@@ -355,8 +355,10 @@ def _region(t0: float, tol: float, t6_limits, what: str) -> QuadratureResult:
 
     t6_limits maps an array of t5 to the bounds (lo, hi), 0 <= lo, arrays or
     numbers.  The requested relative error is tol / 4; what names the
-    integral in a QuadratureError.
+    integral in a QuadratureError.  tol must be positive and finite.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"{what}: tol must be positive and finite, not {tol!r}")
     itol = tol / 4.0
     pa, pb = np.array([0.0]), np.array([1.0 / t0])
     pv, pe, evals = _panels(t0, pa, pb, t6_limits)

@@ -112,11 +112,12 @@ def theta0(eta: tuple[int, int, int, int]) -> Fraction:
 
 
 def _p2_correction(n: int) -> Fraction:
-    """prod over p | n of (1 - 1/p^2)^(-1)."""
-    out = Fraction(1)
+    """prod over p | n of (1 - 1/p^2)^(-1), as one Fraction."""
+    num = den = 1
     for p in prime_divisors(n):
-        out /= 1 - Fraction(1, p * p)
-    return out
+        num *= p * p
+        den *= p * p - 1
+    return Fraction(num, den)
 
 
 def theta1a(eta: tuple[int, int, int, int]) -> ZetaRational:

@@ -66,16 +66,15 @@ def normalize(p: Sequence[int]) -> ProjectivePoint:
     """Primitive representative with first nonzero coordinate positive."""
     if all(c == 0 for c in p):
         raise ValueError("all-zero vector does not define a projective point")
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    coords = [c // g for c in p]
-    for c in coords:
-        if c != 0:
-            if c < 0:
-                coords = [-d for d in coords]
-            break
-    return ProjectivePoint(*coords)
+    return ProjectivePoint(*_primitive(p))
+
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector divided by its gcd, first nonzero entry > 0."""
+    g = gcd(*ints)
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return tuple(c // g for c in ints)
 
 
 def height(p: Sequence[int]) -> int:
@@ -133,17 +132,7 @@ def _primitive_int_row(row: Sequence[Fraction]) -> tuple[int, ...]:
     den = 1
     for c in row:
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in row]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c != 0:
-            if c < 0:
-                ints = [-d for d in ints]
-            break
-    return tuple(ints)
+    return _primitive([int(c * den) for c in row])
 
 
 def _canonical_span(u: Sequence[int], v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -268,8 +257,9 @@ def _box_candidates(bound: int) -> np.ndarray:
     are the divisions tested for exactness.  The x0 = 0 slice collapses
     (over the quadrics x1(x1+x4) = x4(x1+x4) = 0) to x4 = -x1, which splits
     into the families (0,t,u,0,-t,0) and, for t = 0, (0,0,u,s,0,0) and
-    (0,0,u,0,0,s) with x3*x5 = 0.  Every row is sign-normalized; none is
-    yet checked against the remaining quadrics or for primitivity.
+    (0,0,u,0,0,s) with x3*x5 = 0.  Every row is sign-normalized and no
+    vector appears twice; none is yet checked against the remaining
+    quadrics or for primitivity.
     """
     # every product below is at most 2 * BRUTE_FORCE_MAX^2 in size: int32 is exact
     rng = np.arange(-bound, bound + 1, dtype=np.int32)
@@ -311,17 +301,21 @@ def _box_candidates(bound: int) -> np.ndarray:
     fam[0, :, 1], fam[0, :, 2], fam[0, :, 4] = t, u, -t
     fam[1, :, 2], fam[1, :, 3] = t, u
     fam[2, :, 2], fam[2, :, 5] = t, u
-    blocks.append(fam.reshape(-1, 6))
+    blocks.append(fam[:2].reshape(-1, 6))
+    blocks.append(fam[2][u != 0])  # at u = 0 it repeats (0, 0, t, 0, 0, 0)
     blocks.append(np.array([(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)], dtype=np.int32))
     return np.concatenate(blocks)
 
 
 @lru_cache(maxsize=8)
-def brute_force_points(bound: int) -> frozenset[ProjectivePoint]:
-    """All points of S with height <= bound, as normalized primitive tuples.
+def brute_force_points(bound: int) -> np.ndarray:
+    """All points of S with height <= bound, as one read-only (N, 6) int64 array.
 
-    The candidates of _box_candidates are filtered once, as one array,
-    through the full quadric system and the gcd.
+    One row per point, primitive and sign-normalized (first nonzero
+    coordinate positive), in no particular order.  The candidates of
+    _box_candidates are filtered once, as one array, through the full
+    quadric system and the gcd.  The array is shared through the cache,
+    so it is not writeable.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -330,19 +324,15 @@ def brute_force_points(bound: int) -> frozenset[ProjectivePoint]:
     rows = _box_candidates(bound)
     keep = np.logical_and.reduce([q == 0 for q in quadric_values(rows.T)])
     keep &= np.gcd.reduce(rows, axis=1) == 1
-    rows = rows[keep] + bound
-    # one shared int object per coordinate value keeps the set small
-    value = np.arange(-bound, bound + 1).astype(object)
-    return frozenset(map(ProjectivePoint._make, zip(*value[rows].T.tolist())))
+    rows = rows[keep].astype(np.int64)
+    rows.flags.writeable = False
+    return rows
 
 
 def find_singular_points(search_height: int = 3) -> list[ProjectivePoint]:
     """Rational points of height <= search_height where the Jacobian has rank < 3."""
-    return [
-        p
-        for p in sorted(brute_force_points(search_height))
-        if matrix_rank_exact(jacobian(p)) < 3
-    ]
+    pts = sorted(map(ProjectivePoint._make, brute_force_points(search_height).tolist()))
+    return [p for p in pts if matrix_rank_exact(jacobian(p)) < 3]
 
 
 def find_lines(search_height: int = 5) -> tuple[Line, ...]:
@@ -355,8 +345,8 @@ def find_lines(search_height: int = 5) -> tuple[Line, ...]:
     """
     if search_height < 3:
         raise ValueError("search_height must be >= 3")
-    pts = sorted(brute_force_points(search_height))
-    buckets: dict[tuple, set[ProjectivePoint]] = {}
+    pts = sorted(map(tuple, brute_force_points(search_height).tolist()))
+    buckets: dict[tuple, set[tuple[int, ...]]] = {}
     for a, b in combinations(pts, 2):
         key = _canonical_span(a, b)
         buckets.setdefault(key, set()).update((a, b))

@@ -188,7 +188,7 @@ def test_criterion_13_height_prebounds():
 
 def test_criterion_14_lines():
     lines = surface.find_lines(5)
-    pts = [p for p in surface.brute_force_points(100) if p[0] == 0]
+    pts = [p for p in surface.brute_force_points(100).tolist() if p[0] == 0]
     uncovered = [p for p in pts if not any(p in l for l in lines)]
     ok = len(lines) == 4 and not uncovered
     report(14, "4 lines cover the x0 = 0 points", ok,

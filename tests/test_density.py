@@ -170,3 +170,27 @@ def test_euler_product_cutoff_consistency():
     assert abs(b.value - a.value) <= a.tail_rel_bound * a.value
     assert 0 < b.value < 1
 
+
+
+_CTX = scaling_context((1, 1, 1, 1), 32)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "integral",
+    [
+        omega_infty,
+        lambda tol: G2(1.5, tol),
+        lambda tol: g2a(_CTX.y0, _CTX, tol),
+        lambda tol: g2b(_CTX.y0, _CTX, tol),
+        lambda tol: g2_direct(_CTX.y0, _CTX, tol),
+    ],
+    ids=["omega_infty", "G2", "g2a", "g2b", "g2_direct"],
+)
+def test_region_rejects_bad_tol_before_integrating(monkeypatch, integral, tol):
+    def must_not_run(*args):
+        raise AssertionError("g0 ran before tol was checked")
+
+    monkeypatch.setattr(density, "g0", must_not_run)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integral(tol)

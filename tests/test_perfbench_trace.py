@@ -1,0 +1,62 @@
+"""The tracing contract between perfbench and the naive oracle.
+
+`perfbench/run.py --trace 1` wraps `brute_force_points`, `in_U` and `psi`
+under their names in the `dp5a2.counting` namespace and reads the layers
+below; if `count_naive` or `verify_bijection` stopped calling those names,
+the traced run would fail only when it reads them.  Each operation runs
+through `perfbench.ops.run_sample` in a fresh interpreter, as the harness
+runs it, since `run_sample` refuses warm package caches.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SAMPLE = """
+import json, sys
+from perfbench.ops import inputs, run_sample
+
+class Conn:
+    def send(self, msg):
+        self.msg = msg
+
+    def close(self):
+        pass
+
+conn = Conn()
+run_sample(sys.argv[1], inputs("anchored", 1), True, conn)
+print(json.dumps(conn.msg))
+"""
+
+
+def traced_layers(op: str) -> dict:
+    path = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SAMPLE, op],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    msg = json.loads(proc.stdout)
+    assert msg["ok"], msg.get("error")
+    return msg["layers"]
+
+
+@pytest.mark.parametrize("op", ["naive_count_s", "bijection_s"])
+def test_traced_oracle_layers(op):
+    layers = traced_layers(op)
+    assert layers["surface.brute_force_points.s"] > 0
+    assert layers["surface.brute_force_points.count"] == 50_923  # rows at B = 100
+    assert layers["surface.in_U.calls"] == 1
+    if op == "bijection_s":
+        assert layers["torsor.psi.calls"] == 2_222  # one psi per point of U

@@ -74,10 +74,11 @@ def test_brute_force_matches_direct_enumeration():
         nz = next(v for v in c if v != 0)
         if nz < 0:
             continue
-        p = ProjectivePoint(*c)
-        if is_on_surface(p):
-            expected.add(p)
-    assert brute_force_points(bound) == expected
+        if is_on_surface(c):
+            expected.add(c)
+    rows = brute_force_points(bound)
+    assert set(map(tuple, rows.tolist())) == expected
+    assert len(rows) == len(expected)
 
 
 def test_lines_fixture_matches_search():
@@ -88,8 +89,8 @@ def test_lines_fixture_matches_search():
 
 
 def test_lines_cover_x0_zero_points():
-    for p in brute_force_points(20):
-        if p.x0 == 0:
+    for p in brute_force_points(20).tolist():
+        if p[0] == 0:
             assert any(p in line for line in LINES), p
 
 
@@ -104,26 +105,48 @@ def test_in_U():
 
 
 def test_brute_force_points_are_valid():
-    pts = brute_force_points(5)
-    for p in pts:
-        assert is_on_surface(p)
-        assert height(p) <= 5
-        assert normalize(tuple(p)) == p
+    for bound in (1, 5, 17):
+        rows = brute_force_points(bound)
+        assert rows.dtype.kind == "i" and rows.ndim == 2 and rows.shape[1] == 6
+        for p in rows.tolist():
+            assert is_on_surface(p)
+            assert gcd(*p) == 1
+            assert next(c for c in p if c) > 0
+            assert max(map(abs, p)) <= bound
+
+
+def test_brute_force_points_array_is_read_only():
+    rows = brute_force_points(5)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 7
+    with pytest.raises(ValueError):
+        rows += 1
+    assert brute_force_points(5) is rows
+
+
+def test_brute_force_points_rows_unique():
+    # the singular point lies on both x0 = 0 families (0, 0, t, u, 0, 0) and
+    # (0, 0, t, 0, 0, u); it must still be one row
+    for bound in (*range(1, 61), 100):
+        rows = brute_force_points(bound)
+        assert len(np.unique(rows, axis=0)) == len(rows), bound
+        assert (rows == P_SING).all(axis=1).sum() == 1, bound
 
 
 def test_in_U_array_matches_reference():
     # the one-pass mask against the scalar quadrics and Line.__contains__,
     # x0 = 0 points included
-    pts = sorted(brute_force_points(60))
-    mask = in_U(np.array(pts))
-    assert mask.dtype == bool and mask.shape == (len(pts),)
+    rows = brute_force_points(60)
+    mask = in_U(rows)
+    assert mask.dtype == bool and mask.shape == (len(rows),)
+    pts = rows.tolist()
     expected = [is_on_surface(p) and not any(p in line for line in LINES) for p in pts]
     assert mask.tolist() == expected
-    assert any(p.x0 == 0 for p in pts) and 0 < sum(expected) < len(pts)
+    assert any(p[0] == 0 for p in pts) and 0 < sum(expected) < len(pts)
 
 
 def test_in_U_array_rejects_off_surface_row():
-    rows = sorted(brute_force_points(5))[:10] + [(1, 1, 1, 1, 1, 1)]
+    rows = brute_force_points(5)[:10].tolist() + [(1, 1, 1, 1, 1, 1)]
     with pytest.raises(ValueError, match=r"\(1, 1, 1, 1, 1, 1\)"):
         in_U(np.array(rows))
 
