@@ -4,7 +4,7 @@ Everything here is exact -- Python ints and fractions.Fraction.  Floats
 never enter; callers that want floats convert at their own boundary.
 
 Conventions that the rest of the package leans on:
-  * gcd(0, n) = |n|, so coprime(0, n) holds iff |n| = 1.
+  * gcd(0, n) = |n|, so 0 is coprime only to 1 and -1.
   * phi_star(n)   = prod_{p | n} (1 - 1/p)      (so phi_star(n) = phi(n)/n)
   * phi_dagger(n) = prod_{p | n} (1 + 1/p)
 """
@@ -17,7 +17,6 @@ from functools import lru_cache
 
 __all__ = [
     "Factorization",
-    "coprime",
     "factorize",
     "moebius",
     "phi_dagger",
@@ -104,11 +103,6 @@ def squarefree_divisors(n: int) -> tuple[int, ...]:
     for p in prime_divisors(n):
         divs += [d * p for d in divs]
     return tuple(sorted(divs))
-
-
-def coprime(a: int, b: int) -> bool:
-    """gcd(a, b) == 1 with the gcd(0, n) = |n| convention."""
-    return math.gcd(a, b) == 1
 
 
 def primes(limit: int) -> list[int]:

@@ -161,8 +161,8 @@ def g0(t0: float, t5, t6):
     an array, else a float.  A call on one point costs as much as a batch
     of several hundred, so integrands pass whole arrays.
     """
-    if t0 <= 0.0:
-        raise ValueError("t0 must be positive")
+    if not (t0 > 0.0 and math.isfinite(t0)):
+        raise ValueError(f"t0 must be positive and finite, not {t0!r}")
     t5 = np.asarray(t5, dtype=float)
     t6 = np.abs(np.asarray(t6, dtype=float))
     u = t0 * t0
@@ -355,8 +355,10 @@ def _region(t0: float, tol: float, t6_limits, what: str) -> QuadratureResult:
 
     t6_limits maps an array of t5 to the bounds (lo, hi), 0 <= lo, arrays or
     numbers.  The requested relative error is tol / 4; what names the
-    integral in a QuadratureError.  tol must be positive and finite.
+    integral in a QuadratureError.  t0 and tol must be positive and finite.
     """
+    if not (t0 > 0.0 and math.isfinite(t0)):
+        raise ValueError(f"{what}: t0 must be positive and finite, not {t0!r}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"{what}: tol must be positive and finite, not {tol!r}")
     itol = tol / 4.0
@@ -399,8 +401,6 @@ def omega_infty(tol: float = 1e-6) -> QuadratureResult:
 
 def G2(t0: float, tol: float = 1e-6) -> QuadratureResult:
     """Full section integral at t0; satisfies t0^2 G2(t0) = omega_infty."""
-    if t0 <= 0.0:
-        raise ValueError("t0 must be positive")
     return _region(t0, tol, _whole, what="G2")
 
 

@@ -11,7 +11,6 @@ Heights are anticanonical: H(x) = max |x_i| on primitive integer coords.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -95,65 +94,51 @@ def jacobian(p: Sequence[int]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra (matrices are at most 5x6)
+# integer linear algebra: Pluecker coordinates and fraction-free rank
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: Iterable[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (nonzero rows, pivot columns)."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+def matrix_rank_exact(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination."""
+    m = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col]
-        m[r] = [c / inv for c in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col]
+            if f:
+                m[i] = [top[col] * a - f * b for a, b in zip(m[i], top)]
+        rank += 1
+    return rank
 
 
-def matrix_rank_exact(rows: Iterable[Sequence[int]]) -> int:
-    return len(_rref(rows)[0])
-
-
-def _primitive_int_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational row to a primitive integer row, leading entry > 0."""
-    den = 1
-    for c in row:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _primitive([int(c * den) for c in row])
+def _pivot_pair(u: Sequence[int], v: Sequence[int]) -> tuple[int, int]:
+    """The lexicographically first (i, j), i < j, whose Pluecker coordinate
+    p_ij = u_i v_j - u_j v_i is nonzero: the pivot columns of span{u, v}."""
+    pair = next(
+        ((i, j) for i, j in combinations(range(len(u)), 2) if u[i] * v[j] != u[j] * v[i]), None
+    )
+    if pair is None:
+        raise ValueError("points do not span a line")
+    return pair
 
 
 def _canonical_span(u: Sequence[int], v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Canonical form of the plane span{u, v}: primitive integer RREF rows."""
-    rows, _ = _rref([u, v])
-    return tuple(_primitive_int_row(r) for r in rows)
+    """Canonical form of the plane span{u, v}: its reduced echelon rows.
 
-
-def _nullspace_int(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Integer basis of {w : row . w = 0 for all rows}."""
-    rref, pivots = _rref(rows)
-    ncols = len(rref[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        w = [Fraction(0)] * ncols
-        w[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            w[pc] = -rref[i][c]
-        basis.append(_primitive_int_row(w))
-    return tuple(basis)
+    With (i, j) = _pivot_pair(u, v), v_j u - u_j v is zero before i and
+    at j, and u_i v - v_i u is zero before j; made primitive, they are the
+    reduced echelon rows scaled to integers.
+    """
+    i, j = _pivot_pair(u, v)
+    return (
+        _primitive([v[j] * a - u[j] * b for a, b in zip(u, v)]),
+        _primitive([u[i] * b - v[i] * a for a, b in zip(u, v)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +155,25 @@ class Line:
 
     @classmethod
     def through(cls, u: Sequence[int], v: Sequence[int]) -> "Line":
-        span = _canonical_span(u, v)
-        if len(span) != 2:
-            raise ValueError("points do not span a line")
-        return cls(basis=(span[0], span[1]), annihilator=_nullspace_int(span))
+        """The line through the distinct points u and v.
+
+        The basis is _canonical_span(u, v).  With p_ab = u_a v_b - u_b v_a
+        the Pluecker coordinates and (i, j) = _pivot_pair(u, v), the
+        annihilator has one primitive row p_ij e_c - p_cj e_i - p_ic e_j
+        for each other column c, in increasing c.
+        """
+        i, j = _pivot_pair(u, v)
+
+        def p(a: int, b: int) -> int:
+            return u[a] * v[b] - u[b] * v[a]
+
+        annihilator = []
+        for c in range(len(u)):
+            if c not in (i, j):
+                w = [0] * len(u)
+                w[c], w[i], w[j] = p(i, j), -p(c, j), -p(i, c)
+                annihilator.append(_primitive(w))
+        return cls(basis=_canonical_span(u, v), annihilator=tuple(annihilator))
 
     def __contains__(self, p: Sequence[int]) -> bool:
         return all(sum(a * c for a, c in zip(w, p)) == 0 for w in self.annihilator)
@@ -354,7 +354,7 @@ def find_lines(search_height: int = 5) -> tuple[Line, ...]:
     for key, members in buckets.items():
         if len(members) < 3:
             continue
-        line = Line(basis=(key[0], key[1]), annihilator=_nullspace_int(key))
+        line = Line.through(*key)
         if line.lies_in_surface():
             lines.append(line)
     lines.sort(key=lambda ln: ln.basis)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, inf
 from typing import NamedTuple
 
 from .surface import ProjectivePoint, is_on_surface
@@ -195,8 +195,8 @@ class ScalingContext:
 
 def scaling_context(eta: tuple[int, int, int, int], B: float) -> ScalingContext:
     e1, e2, e3, e4 = eta
-    if min(eta) < 1 or B <= 0:
-        raise ValueError("eta must be positive and B > 0")
+    if min(eta) < 1 or not 0 < B < inf:
+        raise ValueError(f"eta must be positive and B positive and finite, not eta={eta}, B={B!r}")
     y0 = (e1**2 * e2**2 * e3**3 * e4**2 / B) ** 0.2
     y1 = (B * e2**3 * e3**2 * e4**3 / e1**2) ** 0.2
     y6 = (B * e1**3 * e2**3 * e3**2 / e4**2) ** 0.2

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from dp5a2.arith import (
-    coprime,
     factorize,
     moebius,
     phi_dagger,
@@ -70,14 +69,6 @@ def test_squarefree_divisors():
         assert len(divs) == 2 ** len(prime_divisors(n))
         assert all(moebius(d) != 0 for d in divs)
         assert list(divs) == sorted(divs)
-
-
-def test_coprime_zero_convention():
-    # gcd(0, n) = |n|, so 0 is coprime only to units
-    assert coprime(0, 1)
-    assert not coprime(0, 5)
-    assert coprime(-3, 5)
-    assert not coprime(-4, 6)
 
 
 def test_primes_sieve():

@@ -89,6 +89,9 @@ def test_g0_methods_agree():
     for route in (lambda: g0(0.0, 0.5, 0.0), lambda: g0_subdivision(0.0, 0.5, 0.0, 1e-8)):
         with pytest.raises(ValueError):
             route()
+    for t0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t0 must be positive and finite"):
+            g0(t0, 0.1, 0.1)
 
 
 def test_g0_support_bounds():
@@ -194,3 +197,24 @@ def test_region_rejects_bad_tol_before_integrating(monkeypatch, integral, tol):
     monkeypatch.setattr(density, "g0", must_not_run)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         integral(tol)
+
+
+@pytest.mark.parametrize("t0", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "integral",
+    [
+        lambda t0: G2(t0, 1e-2),
+        lambda t0: g2a(t0, _CTX, 1e-2),
+        lambda t0: g2b(t0, _CTX, 1e-2),
+        lambda t0: g2_direct(t0, _CTX, 1e-2),
+        lambda t0: g_family(_CTX, t0, 1e-2),
+    ],
+    ids=["G2", "g2a", "g2b", "g2_direct", "g_family"],
+)
+def test_region_rejects_bad_t0_before_integrating(monkeypatch, integral, t0):
+    def must_not_run(*args):
+        raise AssertionError("g0 ran before t0 was checked")
+
+    monkeypatch.setattr(density, "g0", must_not_run)
+    with pytest.raises(ValueError, match="t0 must be positive and finite"):
+        integral(t0)

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 
 from dp5a2.surface import (
     LINES,
+    Line,
     ProjectivePoint,
     brute_force_points,
     find_lines,
@@ -86,6 +87,45 @@ def test_lines_fixture_matches_search():
     assert len(LINES) == 4
     for line in LINES:
         assert line.lies_in_surface()
+
+
+def test_line_annihilators_against_rank():
+    # the annihilator test p in line is checked against the rank of the
+    # basis rows with p appended, which shares no code with the Pluecker rows
+    pts = brute_force_points(20).tolist()
+    for line in LINES:
+        assert matrix_rank_exact(line.annihilator) == 4
+        for w in line.annihilator:
+            assert all(sum(a * c for a, c in zip(w, b)) == 0 for b in line.basis)
+        for p in pts:
+            assert (p in line) == (matrix_rank_exact([*line.basis, p]) == 2), (line, p)
+
+
+def test_matrix_rank_exact_matches_numpy():
+    rng = np.random.default_rng(20)
+    for _ in range(3000):
+        m = rng.integers(-3, 4, size=(5, 6))
+        i, j = rng.choice(5, size=2, replace=False)
+        kind = rng.integers(3)
+        if kind == 1:
+            m[i] = 0
+        elif kind == 2:
+            m[i] = m[j]
+        assert matrix_rank_exact(m.tolist()) == np.linalg.matrix_rank(m), m
+    assert matrix_rank_exact([]) == 0
+    assert matrix_rank_exact([[0] * 6] * 5) == 0
+
+
+def test_line_through_any_two_of_its_points():
+    pts = brute_force_points(10).tolist()
+    for line in LINES:
+        on = [p for p in pts if p in line]
+        assert len(on) >= 3
+        for u, v in combinations(on, 2):
+            other = Line.through(u, v)
+            assert (other.basis, other.annihilator) == (line.basis, line.annihilator)
+        with pytest.raises(ValueError, match="do not span a line"):
+            Line.through(on[0], on[0])
 
 
 def test_lines_cover_x0_zero_points():

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 from math import gcd
 
@@ -63,6 +64,12 @@ def test_torsor_point_validation():
     t = TorsorPoint(1, 1, 1, 1, 1, 1, 0, -1)
     assert t.eta == (1, 1, 1, 1)
     assert t.satisfies_equation()
+
+
+@pytest.mark.parametrize("B", [0, -1.0, math.nan, math.inf])
+def test_scaling_context_rejects_bad_B(B):
+    with pytest.raises(ValueError, match="B positive and finite"):
+        scaling_context((1, 1, 1, 1), B)
 
 
 def test_equation():
