@@ -9,6 +9,9 @@ theta0 -> theta1a -> theta2a of the counting argument (Moebius sums over
 alpha1, then alpha2), and the Euler product of the local weights over
 the primes dividing eta1 eta2 eta3 eta4, which is what theta() returns.
 
+The main-term sums add integer numerators per denominator and build
+one Fraction over the lcm of the denominators, so B must be an integer.
+
 Delta_k(n) sums theta(eta)/(eta1 eta2 eta3 eta4) over eta with
 eta1^k1 eta2^k2 eta3^k3 eta4^k4 = n.  Its Dirichlet series factors as
 prod_p F_{k,p}(s); the per-prime closed form is implemented here along
@@ -18,6 +21,7 @@ with a brute-force truncated oracle for it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,19 +135,15 @@ def theta2a(eta: tuple[int, int, int, int]) -> ZetaRational:
     return theta1a(eta) * phi_star(e1 * e2 * e3 * e4)
 
 
-@lru_cache(maxsize=None)
-def _theta_coeff(eta: tuple[int, int, int, int]) -> Fraction:
-    """zeta(2) * theta(eta) as the Euler product of its local weights.
+def _weight(e124: int, e3: int) -> tuple[int, int]:
+    """zeta(2) * theta(eta) as an unreduced (num, den), from e124 = eta1 eta2 eta4.
 
-    Zero unless eta1, eta2, eta4 are pairwise coprime; then p divides at
-    most one of them, and the weight of p | eta1 eta2 eta3 eta4 is
-    (p-1)/(p+1) if p does not divide eta3, else (p-1)(p-2)/(p(p+1)) or
-    (p-1)^2/(p(p+1)) as p divides none or one of eta1, eta2, eta4.
+    The Euler product of the local weights, for pairwise-coprime eta1,
+    eta2, eta4: then p divides at most one of them, and the weight of
+    p | eta1 eta2 eta3 eta4 is (p-1)/(p+1) if p does not divide eta3,
+    else (p-1)(p-2)/(p(p+1)) or (p-1)^2/(p(p+1)) as p divides none or one
+    of eta1, eta2, eta4.
     """
-    if not _eta_coprime(eta):
-        return Fraction(0)
-    e1, e2, e3, e4 = eta
-    e124 = e1 * e2 * e4
     num = den = 1
     for p in prime_divisors(e124 * e3):
         if e3 % p:
@@ -152,7 +152,16 @@ def _theta_coeff(eta: tuple[int, int, int, int]) -> Fraction:
         else:
             num *= (p - 1) * (p - 2 if e124 % p else p - 1)
             den *= p * (p + 1)
-    return Fraction(num, den)
+    return num, den
+
+
+@lru_cache(maxsize=None)
+def _theta_coeff(eta: tuple[int, int, int, int]) -> Fraction:
+    """zeta(2) * theta(eta): zero unless eta1, eta2, eta4 are pairwise coprime."""
+    if not _eta_coprime(eta):
+        return Fraction(0)
+    e1, e2, e3, e4 = eta
+    return Fraction(*_weight(e1 * e2 * e4, e3))
 
 
 def theta(eta: tuple[int, int, int, int]) -> ZetaRational:
@@ -167,6 +176,7 @@ def theta(eta: tuple[int, int, int, int]) -> ZetaRational:
 
 def delta_k(k: tuple[int, int, int, int], n: int) -> ZetaRational:
     """Sum of theta(eta)/(eta1 eta2 eta3 eta4) over eta with prod eta_j^k_j = n."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     total = Fraction(0)
@@ -204,18 +214,6 @@ def delta_k(k: tuple[int, int, int, int], n: int) -> ZetaRational:
     return ZetaRational(total, 1)
 
 
-def _tree_sum(parts: list[Fraction]) -> Fraction:
-    """Pairwise reduction; far cheaper than a running total on long lists."""
-    if not parts:
-        return Fraction(0)
-    while len(parts) > 1:
-        parts = [
-            parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-    return parts[0]
-
-
 def _eta_range(k: tuple[int, int, int, int], t: int):
     """All eta with prod eta_j^k_j <= t."""
     e1 = 0
@@ -245,6 +243,31 @@ def _eta_range(k: tuple[int, int, int, int], t: int):
                     yield e1, e2, e3, e4
 
 
+def _terms(etas):
+    """Unreduced (num, den) of zeta(2) theta(eta)/(eta1 eta2 eta3 eta4), per coprime eta.
+
+    The weights are memoised by (eta1 eta2 eta4, eta3) for this sum only.
+    """
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    for eta in etas:
+        if _eta_coprime(eta):
+            e1, e2, e3, e4 = eta
+            key = (e1 * e2 * e4, e3)
+            if key not in memo:
+                num, den = _weight(*key)
+                memo[key] = (num, den * key[0] * e3)
+            yield memo[key]
+
+
+def _exact_sum(terms) -> Fraction:
+    """Numerators summed per denominator, then one Fraction over their lcm."""
+    by_den: dict[int, int] = {}
+    for num, den in terms:
+        by_den[den] = by_den.get(den, 0) + num
+    lcm = math.lcm(*by_den)
+    return Fraction(sum(num * (lcm // den) for den, num in by_den.items()), lcm)
+
+
 def summatory_M(
     k: tuple[int, int, int, int], t: int, *, exact: bool = True, via: str = "eta"
 ):
@@ -252,9 +275,10 @@ def summatory_M(
 
     via="eta" enumerates eta directly; via="n" sums delta_k(n), which is
     much slower and exists as an independent cross-check.  exact=True
-    returns a ZetaRational, exact=False a float (coeff only summed in
-    floating point, for large t).
+    returns a ZetaRational, summed over one common denominator;
+    exact=False sums the same terms as floats, for large t.
     """
+    t = operator.index(t)
     if via == "n":
         total = ZetaRational(Fraction(0), 1)
         for n in range(1, t + 1):
@@ -263,18 +287,10 @@ def summatory_M(
     if via != "eta":
         raise ValueError(f"unknown M mode {via!r}")
     if exact:
-        parts = [
-            _theta_coeff(eta) / (eta[0] * eta[1] * eta[2] * eta[3])
-            for eta in _eta_range(k, t)
-            if _eta_coprime(eta)
-        ]
-        return ZetaRational(_tree_sum(parts), 1)
+        return ZetaRational(_exact_sum(_terms(_eta_range(k, t))), 1)
     acc = 0.0
-    for eta in _eta_range(k, t):
-        if _eta_coprime(eta):
-            c = _theta_coeff(eta)
-            if c:
-                acc += c.numerator / c.denominator / (eta[0] * eta[1] * eta[2] * eta[3])
+    for num, den in _terms(_eta_range(k, t)):
+        acc += num / den
     return acc * ZETA2_INV
 
 
@@ -286,15 +302,12 @@ def e_star_sum(B: int) -> ZetaRational:
     times eta1 eta2 eta3, the shell is exactly the set difference of the
     two sublevel sets, and this sum equals M_(2,2,3,2) - M_(3,3,4,2).
     """
-    parts: list[Fraction] = []
-    for eta in _eta_range(K_MAIN, B):
-        e1, e2, e3, e4 = eta
-        if e1**3 * e2**3 * e3**4 * e4**2 <= B:
-            continue
-        if not _eta_coprime(eta):
-            continue
-        parts.append(_theta_coeff(eta) / (e1 * e2 * e3 * e4))
-    return ZetaRational(_tree_sum(parts), 1)
+    B = operator.index(B)
+    shell = (
+        eta for eta in _eta_range(K_MAIN, B)
+        if eta[0] ** 3 * eta[1] ** 3 * eta[2] ** 4 * eta[3] ** 2 > B
+    )
+    return ZetaRational(_exact_sum(_terms(shell)), 1)
 
 
 class MainTermIdentityError(ArithmeticError):
@@ -317,8 +330,11 @@ def predicted_main_term(B: int, omega: float, *, cross_check: bool | None = None
     direct shell sum and raises MainTermIdentityError unless the two agree
     exactly.
     """
+    B = operator.index(B)
     if B < 1:
         raise ValueError("B must be >= 1")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if cross_check is None:
         cross_check = B <= 10**4
     if cross_check:

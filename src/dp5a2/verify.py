@@ -21,6 +21,7 @@ __all__ = [
     "check_g2_scaling",
     "check_height_bounds",
     "check_local_factor_oracle",
+    "check_main_term_identity",
     "check_theta_consistency",
     "run_all",
 ]
@@ -146,6 +147,21 @@ def check_theta_consistency(bound: int = 30) -> CheckResult:
     return _timed("theta-consistency", run)
 
 
+def check_main_term_identity(B: int = 10**4) -> CheckResult:
+    """The shell sum e_star_sum(B) == M_(2,2,3,2)(B) - M_(3,3,4,2)(B) exactly."""
+
+    def run():
+        shell = dirichlet.e_star_sum(B)
+        diff = dirichlet.summatory_M(dirichlet.K_MAIN, B) - dirichlet.summatory_M(
+            dirichlet.K_CUT, B
+        )
+        if shell != diff:
+            return False, f"B={B}: shell sum {float(shell)!r} != M difference {float(diff)!r}"
+        return True, f"B={B}: shell sum = M difference = {float(shell):.15g}, exactly"
+
+    return _timed("main-term-identity", run)
+
+
 def check_local_factor_oracle(
     ps: tuple[int, ...] = (2, 3, 5),
     ss: tuple = (Fraction(1, 2), 1),
@@ -206,6 +222,7 @@ def run_all(
     return [
         check_local_factor_oracle(),
         check_theta_consistency(30 if deep else 12),
+        check_main_term_identity(10**6 if deep else 10**4),
         check_coprimality_equiv(*((50, 10) if deep else (30, 5)), edges=edges),
         check_bijection(B),
         check_height_bounds(1000 if deep else 200),

@@ -184,10 +184,10 @@ def test_verify_fault_injection(capsys):
     )
     assert code == 4
     listed = json.loads(out)
-    # the six checks of verify.run_all, in its order
+    # the seven checks of verify.run_all, in its order
     assert [c["name"] for c in listed] == [
-        "local-factor-oracle", "theta-consistency", "coprimality-equivalence",
-        "bijection", "height-bounds", "g2-scaling",
+        "local-factor-oracle", "theta-consistency", "main-term-identity",
+        "coprimality-equivalence", "bijection", "height-bounds", "g2-scaling",
     ]
     checks = {c["name"]: c for c in listed}
     assert not checks["coprimality-equivalence"]["passed"]

@@ -123,10 +123,11 @@ class TestSummatory:
         assert c.coeff == Fraction(2963, 1260)
 
     def test_float_route_tracks_exact(self):
-        for t in (10, 100, 400):
-            ex = summatory_M(K_MAIN, t)
-            fl = summatory_M(K_MAIN, t, exact=False)
-            assert fl == pytest.approx(float(ex), rel=1e-12)
+        for k in (K_MAIN, K_CUT):
+            for t in (10, 100, 400, 10**5):
+                ex = summatory_M(k, t)
+                fl = summatory_M(k, t, exact=False)
+                assert fl == pytest.approx(float(ex), rel=1e-12)
 
     def test_shell_is_set_difference(self):
         for B in (1, 7, 50, 300):
@@ -147,6 +148,100 @@ class TestSummatory:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             summatory_M(K_MAIN, 10, via="divisor")
+
+
+def fraction_oracle(B: int, shell: bool) -> tuple[Fraction, Fraction]:
+    """zeta(2) theta(eta)/(e1 e2 e3 e4) summed as one plain Fraction per term.
+
+    Returns the sums over e1^2 e2^2 e3^3 e4^2 <= B (with shell, over the
+    part of that set outside the cut) and over the cut e1^3 e2^3 e3^4 e4^2 <= B.
+    """
+    main = cut = Fraction(0)
+    e1 = 1
+    while e1**2 <= B:
+        e2 = 1
+        while e1**2 * e2**2 <= B:
+            e3 = 1
+            while (base := e1**2 * e2**2 * e3**3) <= B:
+                e4 = 1
+                while base * e4**2 <= B:
+                    term = dirichlet._theta_coeff((e1, e2, e3, e4)) / (e1 * e2 * e3 * e4)
+                    in_cut = base * e4**2 * e1 * e2 * e3 <= B
+                    if not (shell and in_cut):
+                        main += term
+                    if in_cut:
+                        cut += term
+                    e4 += 1
+                e3 += 1
+            e2 += 1
+        e1 += 1
+    return main, cut
+
+
+class TestExactSums:
+    """The common-denominator sums against one Fraction per term."""
+
+    @pytest.mark.parametrize("B", [1, 7, 300, 10**4, 10**5])
+    def test_sums_match_fraction_oracle(self, B):
+        main, cut = fraction_oracle(B, shell=False)
+        assert summatory_M(K_MAIN, B) == ZetaRational(main, 1)
+        assert summatory_M(K_CUT, B) == ZetaRational(cut, 1)
+        shell, _ = fraction_oracle(B, shell=True)
+        assert e_star_sum(B) == ZetaRational(shell, 1)
+        assert shell == main - cut
+
+    def test_identity_check_catches_wrong_shell(self, monkeypatch):
+        assert verify.check_main_term_identity(300).passed
+        real = dirichlet.e_star_sum
+        monkeypatch.setattr(dirichlet, "e_star_sum",
+                            lambda B: real(B) + ZetaRational(Fraction(1), 1))
+        res = verify.check_main_term_identity(300)
+        assert not res.passed
+        assert res.detail.startswith("B=300: shell sum ")
+
+    def test_sums_keep_no_theta_cache(self):
+        before = dirichlet._theta_coeff.cache_info().currsize
+        predicted_main_term(10**5, 27.33, cross_check=True)
+        assert dirichlet._theta_coeff.cache_info().currsize == before
+
+
+class Forbidden:
+    """Stands in for what a loop would read first; reading it fails the test."""
+
+    def __getitem__(self, i):
+        raise AssertionError("the loop started")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("the loop started")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10.5])
+def test_non_integer_B_rejected_before_any_loop(monkeypatch, bad):
+    # before, nan and inf never left the eta loops, and 10.5 was summed as 10
+    monkeypatch.setattr(dirichlet, "_eta_range", Forbidden())
+    with pytest.raises(TypeError):
+        summatory_M(K_MAIN, bad)
+    with pytest.raises(TypeError):
+        summatory_M(K_CUT, bad, exact=False)
+    with pytest.raises(TypeError):
+        summatory_M(K_MAIN, bad, via="n")
+    with pytest.raises(TypeError):
+        e_star_sum(bad)
+    with pytest.raises(TypeError):
+        delta_k(Forbidden(), bad)
+    monkeypatch.setattr(dirichlet, "summatory_M", Forbidden())
+    monkeypatch.setattr(dirichlet, "e_star_sum", Forbidden())
+    for cross_check in (None, True, False):
+        with pytest.raises(TypeError):
+            predicted_main_term(bad, 1.0, cross_check=cross_check)
+
+
+@pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_omega_rejected(monkeypatch, omega):
+    monkeypatch.setattr(dirichlet, "summatory_M", Forbidden())
+    monkeypatch.setattr(dirichlet, "e_star_sum", Forbidden())
+    with pytest.raises(ValueError, match="omega"):
+        predicted_main_term(100, omega)
 
 
 class TestLocalFactors:

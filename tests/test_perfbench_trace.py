@@ -1,11 +1,12 @@
-"""The tracing contract between perfbench and the naive oracle.
+"""The tracing contract between perfbench and the package.
 
 `perfbench/run.py --trace 1` wraps `brute_force_points`, `in_U` and `psi`
-under their names in the `dp5a2.counting` namespace and reads the layers
-below; if `count_naive` or `verify_bijection` stopped calling those names,
-the traced run would fail only when it reads them.  Each operation runs
-through `perfbench.ops.run_sample` in a fresh interpreter, as the harness
-runs it, since `run_sample` refuses warm package caches.
+under their names in the `dp5a2.counting` namespace, and `summatory_M` and
+`e_star_sum` in `dp5a2.dirichlet`, and reads the layers below.  If
+`count_naive`, `verify_bijection` or `predicted_main_term` stopped calling
+those names, the traced run would fail only when it reads them.  Each
+operation runs through `perfbench.ops.run_sample` in a fresh interpreter,
+as the harness runs it, since `run_sample` refuses warm package caches.
 """
 
 import json
@@ -60,3 +61,14 @@ def test_traced_oracle_layers(op):
     assert layers["surface.in_U.calls"] == 1
     if op == "bijection_s":
         assert layers["torsor.psi.calls"] == 2_222  # one psi per point of U
+
+
+def test_traced_main_term_layers():
+    layers = traced_layers("main_term_s")  # B = 10^6: the default, float route
+    for key in ("K_MAIN", "K_CUT"):
+        assert layers[f"dirichlet.summatory_M.{key}.float.s"] > 0
+    assert not [name for name in layers if ".exact." in name or "e_star_sum" in name]
+    layers = traced_layers("main_term_exact_s")
+    for key in ("K_MAIN", "K_CUT"):
+        assert layers[f"dirichlet.summatory_M.{key}.exact.s"] > 0
+    assert layers["dirichlet.e_star_sum.s"] > 0
