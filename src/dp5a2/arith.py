@@ -1,6 +1,7 @@
 """Exact integer kernel: factorization and multiplicative functions.
 
-Everything here is exact -- Python ints and fractions.Fraction.  Floats
+Everything here is exact -- Python ints and fractions.Fraction (the
+prime sieve marks a numpy bool array, but returns Python ints).  Floats
 never enter; callers that want floats convert at their own boundary.
 
 Conventions that the rest of the package leans on:
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "Factorization",
@@ -106,12 +109,12 @@ def squarefree_divisors(n: int) -> tuple[int, ...]:
 
 
 def primes(limit: int) -> list[int]:
-    """All primes <= limit by a bytearray sieve."""
+    """All primes <= limit (as Python ints) by a numpy sieve."""
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()

@@ -501,10 +501,10 @@ def euler_product(p_max: int = 10**6) -> EulerProduct:
     """
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
-    ps = primes(p_max)
-    logs = [5.0 * math.log1p(-1.0 / p) + math.log1p(5.0 / p + 1.0 / (p * p)) for p in ps]
+    ps = np.array(primes(p_max), dtype=np.float64)
+    logs = 5.0 * np.log1p(-1.0 / ps) + np.log1p(5.0 / ps + 1.0 / (ps * ps))
     return EulerProduct(
-        value=math.exp(fsum(logs)),
+        value=math.exp(fsum(logs.tolist())),
         p_max=p_max,
         n_primes=len(ps),
         tail_rel_bound=math.expm1(15.0 / p_max),

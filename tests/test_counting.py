@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
 
 from dp5a2.counting import (
@@ -109,6 +111,69 @@ def test_worker_count_does_not_change_result():
     assert (seq.count, seq.na, seq.nb1, seq.nb2) == (par.count, par.na, par.nb1, par.nb2)
     assert seq.count == 810_704
     assert seq.nb1 > 0 and seq.nb2 > 0
+
+
+def test_split_counts_frozen():
+    # (count, na, nb1, nb2) of the per-eta6 Python loop that the array
+    # kernel replaced, computed once and frozen
+    frozen = {
+        (10**4, 1.0): (810_704, 322_490, 230_720, 257_494),
+        (10**5, 28.0): (13_196_076, 4_986_662, 0, 8_209_414),
+    }
+    for (B, A), parts in frozen.items():
+        r = count_torsor(B, A=A)
+        assert (r.count, r.na, r.nb1, r.nb2) == parts, (B, A)
+
+
+def test_counts_are_python_ints(capsys):
+    # numpy scalars would break json.dumps in the CLI and in run records
+    for workers in (1, 2):
+        r = count_torsor(10**4, workers=workers, A=1.0)
+        assert all(type(v) is int for v in (r.count, r.na, r.nb1, r.nb2)), workers
+    assert type(count_torsor(10**4).count) is int
+    from dp5a2.cli import main
+
+    assert main(["count", "--B", "10000", "--split", "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["count"] == row["na"] + row["nb1"] + row["nb2"] == 810_704
+
+
+def test_kernel_int64_and_object_routes_agree(monkeypatch):
+    from dp5a2 import counting
+
+    cases = [
+        (e1, B, thr)
+        for B in (1, 2, 7, 30, 100, 300, 1000)
+        for thr in (None, B / math.log(B) if B >= 3 else None)
+        for e1 in range(1, math.isqrt(B) + 1)
+    ]
+    fast = [counting._count_stratum(*case) for case in cases]
+    # with the bound at 0 every B takes the Python-int (object) route
+    monkeypatch.setattr(counting, "_INT64_MAX_B", 0)
+    assert counting._kernel_dtype(1) is object
+    exact = [counting._count_stratum(*case) for case in cases]
+    for case, f, e in zip(cases, fast, exact):
+        assert f == e, case
+        assert all(type(v) is int for v in f + e)
+
+
+def test_kernel_dtype_switch_at_proved_bound():
+    from dp5a2.counting import _INT64_MAX_B, _isqrt_int64, _kernel_dtype
+
+    B = _INT64_MAX_B
+    assert _kernel_dtype(B) is np.int64
+    assert _kernel_dtype(B + 1) is object
+    # the largest operand, rhs^2 + C4 <= 2B^2 + 4B^(3/2), and the square
+    # (s + 1)^2 of the isqrt correction stay below 2^63 at the bound
+    top = 2 * B * B + 4 * B * (math.isqrt(B) + 1)
+    assert (math.isqrt(top) + 2) ** 2 < 2**63
+    # the float root with its integer correction is exact up to there
+    xs = {0, 1, 2, 3, top, top - 1}
+    for s in (math.isqrt(top), 3 * 10**9 // 2, 10**6, 94_906_265, 2**26 + 1):
+        xs |= {s * s - 1, s * s, s * s + 1, s * s + 2 * s}
+    xs = sorted(x for x in xs if 0 <= x <= top)
+    got = _isqrt_int64(np.array(xs, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(x) for x in xs]
 
 
 def test_workers_below_one_rejected():
