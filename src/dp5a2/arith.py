@@ -26,6 +26,7 @@ __all__ = [
     "phi_star",
     "prime_divisors",
     "primes",
+    "ragged",
     "squarefree_divisors",
 ]
 
@@ -118,3 +119,12 @@ def primes(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.flatnonzero(sieve).tolist()
+
+
+def ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and rank of each row when owner i has counts[i] rows.
+
+    The ragged arange of the numpy kernels in counting and dirichlet.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]

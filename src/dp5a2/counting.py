@@ -42,6 +42,7 @@ shares no code with count_torsor, so either checks the other.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -50,7 +51,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import prime_divisors
+from .arith import prime_divisors, ragged
 from .surface import BRUTE_FORCE_MAX, ProjectivePoint, brute_force_points, in_U
 from .torsor import TorsorPoint, coprimality_reduced, psi
 
@@ -132,10 +133,13 @@ def _signed_divisors(primes) -> list[tuple[int, int]]:
     return out
 
 
-def _moebius_terms(e1: int, e2: int, e3: int, e4: int, e5: int) -> list[tuple]:
+def _moebius_terms(
+    e1: int, e2: int, e3: int, e5: int, divs1: list[tuple[int, int]]
+) -> list[tuple]:
     """The congruence data of the double Moebius sum for fixed eta1..eta5.
 
-    One term per squarefree d1 | eta3 eta4 and d2 | eta3 eta5.  It counts
+    One term per squarefree d1 | eta3 eta4 and d2 | eta3 eta5; divs1 holds
+    the signed d1, (d1, mu(d1)), which depend on eta3 and eta4 only.  It counts
     the alpha1 with d1 | alpha1 and d2 | alpha2, i.e. with
 
         eta1 alpha1 = -rhs (mod m = eta2 d2)   and   alpha1 = 0 (mod d1),
@@ -150,7 +154,7 @@ def _moebius_terms(e1: int, e2: int, e3: int, e4: int, e5: int) -> list[tuple]:
     """
     divs2 = _signed_divisors([p for p in prime_divisors(e3 * e5) if e1 % p])
     terms = []
-    for d1, mu1 in _signed_divisors(prime_divisors(e3 * e4)):
+    for d1, mu1 in divs1:
         for d2, mu2 in divs2:
             m = e2 * d2
             h = gcd(m, d1)
@@ -205,6 +209,7 @@ def _groups(e1: int, B: int, thr: float | None) -> Iterator[tuple[tuple, list[tu
                 a1cap = B // (e1sq * e2 * e3 * e3 * e4)  # k1
                 a2cap = B // (e1 * e2 * e2 * e3 * e3 * e4)  # k4
                 b1 = thr is not None and base <= thr
+                divs1 = _signed_divisors(prime_divisors(e3 * e4))
                 e5 = 0
                 while True:
                     e5 += 1
@@ -230,7 +235,7 @@ def _groups(e1: int, B: int, thr: float | None) -> Iterator[tuple[tuple, list[tu
                         e1234,
                         b1,
                     )
-                    yield scalars, _moebius_terms(e1, e2, e3, e4, e5)
+                    yield scalars, _moebius_terms(e1, e2, e3, e5, divs1)
 
 
 def _kernel_dtype(B: int):
@@ -252,12 +257,6 @@ def _isqrt_int64(x: np.ndarray) -> np.ndarray:
 
 
 _isqrt_object = np.frompyfunc(isqrt, 1, 1)
-
-
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and rank of each row when owner i has counts[i] rows."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
 def _sweep(
@@ -299,7 +298,7 @@ def _sweep(
     e6max, e5, t45, k3, k5, a1cap, a2cap, e2, e1234, b1 = groups.T
     two_e1 = 2 * e1
     # (group, eta6) pairs, 1 <= eta6 <= e6max, coprime to eta1 eta2 eta3 eta4
-    g, e6 = _ragged(e6max.astype(np.int64))
+    g, e6 = ragged(e6max.astype(np.int64))
     e6 = (e6 + 1).astype(groups.dtype, copy=False)
     keep = np.gcd(e6, e1234[g]) == 1
     g, e6 = g[keep], e6[keep]
@@ -330,7 +329,7 @@ def _sweep(
     v = -((rhs - s) // two_e1)
     lo2 = np.where(gap, np.minimum(np.maximum(v, lo), hi + 1), hi + 1)
     # (pair, term) rows: the alpha1 of one residue class mod L in both pieces
-    p, k = _ragged(nterms[g])
+    p, k = ragged(nterms[g])
     t = (np.cumsum(nterms) - nterms)[g][p] + k
     mu, m, inv, h, dh, inv2, L = (col[t] for col in terms.T)
     r = (-rhs[p] % m) * inv % m
@@ -398,7 +397,10 @@ def count_torsor(B: int, *, workers: int = 1, A: float | None = None) -> CountRe
     """Count U-points of height <= B through the torsor parametrization.
 
     Work is partitioned by eta1 strata; results are reduced in eta1 order,
-    so the counts are independent of the worker count.  Within a stratum
+    so the counts are independent of the worker count.  The pool has
+    min(workers, number of strata, os.cpu_count()) processes, so a large
+    workers value never starts more processes than there are CPUs; with
+    one, the strata run in this process.  Within a stratum
     the eta6 sweep runs as numpy arrays, in batches of about 2^18
     eta6 x Moebius-term rows, so memory stays bounded; the arrays are
     int64 up to B = 2*10^9, where that is proved not to overflow, and
@@ -426,8 +428,9 @@ def count_torsor(B: int, *, workers: int = 1, A: float | None = None) -> CountRe
         except ZeroDivisionError:  # (log B)^A underflows to 0: all b1
             thr = math.inf
     jobs = [(e1, B, thr) for e1 in range(1, isqrt(B) + 1)]
-    if workers > 1 and len(jobs) > 1:
-        with Pool(min(workers, len(jobs))) as pool:
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    if procs > 1:
+        with Pool(procs) as pool:
             parts = pool.map(_stratum_worker, jobs, chunksize=1)
     else:
         parts = [_stratum_worker(j) for j in jobs]

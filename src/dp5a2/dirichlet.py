@@ -9,8 +9,17 @@ theta0 -> theta1a -> theta2a of the counting argument (Moebius sums over
 alpha1, then alpha2), and the Euler product of the local weights over
 the primes dividing eta1 eta2 eta3 eta4, which is what theta() returns.
 
-The main-term sums add integer numerators per denominator and build
-one Fraction over the lcm of the denominators, so B must be an integer.
+The main-term sums use that theta(eta)/(eta1 eta2 eta3 eta4) depends on
+eta only through the key (eta1 eta2 eta4, eta3).  Python walks the eta
+triples (eta1, eta2, eta3); one numpy pass per batch of triples expands
+them to their eta4 ranges, keeps the pairwise-coprime rows and counts
+each key (_key_counts).  Each sum is then over the distinct keys, of
+multiplicity x summand, with the local weights computed once per key:
+the exact route adds integer numerators per denominator and builds one
+Fraction over the lcm of the denominators, so B must be an integer; the
+float route adds the same terms as floats.  delta_k, and summatory_M
+with via="n", stay pure Python and share no enumeration with the key
+route, which they check.
 
 Delta_k(n) sums theta(eta)/(eta1 eta2 eta3 eta4) over eta with
 eta1^k1 eta2^k2 eta3^k3 eta4^k4 = n.  Its Dirichlet series factors as
@@ -25,9 +34,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import moebius, phi_star, prime_divisors, squarefree_divisors
+import numpy as np
+
+from .arith import moebius, phi_star, prime_divisors, ragged, squarefree_divisors
 
 __all__ = [
     "K_CUT",
@@ -53,6 +64,12 @@ K_MAIN = (2, 2, 3, 2)
 K_CUT = (3, 3, 4, 2)
 
 ZETA2_INV = 6.0 / math.pi**2
+
+# The largest t at which the key kernel's int64 arithmetic cannot overflow
+# (proved in _key_counts); above it the kernel runs on Python ints.
+_INT64_MAX_T = 3 * 10**9
+# eta4 rows per kernel batch
+_CHUNK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -174,9 +191,25 @@ def theta(eta: tuple[int, int, int, int]) -> ZetaRational:
 # ---------------------------------------------------------------------------
 
 
+def _exponents(k) -> tuple[int, int, int, int]:
+    """k as a tuple of four ints >= 1, else ValueError (a zero or negative
+    k_j leaves the eta loops unbounded)."""
+    try:
+        ks = tuple(operator.index(kj) for kj in k)
+    except TypeError:
+        raise ValueError(f"k must hold four ints >= 1, got {k!r}") from None
+    if len(ks) != 4 or min(ks) < 1:
+        raise ValueError(f"k must hold four ints >= 1, got {k!r}")
+    return ks
+
+
 def delta_k(k: tuple[int, int, int, int], n: int) -> ZetaRational:
-    """Sum of theta(eta)/(eta1 eta2 eta3 eta4) over eta with prod eta_j^k_j = n."""
+    """Sum of theta(eta)/(eta1 eta2 eta3 eta4) over eta with prod eta_j^k_j = n.
+
+    Pure Python, sharing no enumeration with summatory_M's key route.
+    """
     n = operator.index(n)
+    k = _exponents(k)
     if n < 1:
         raise ValueError("n must be >= 1")
     total = Fraction(0)
@@ -214,49 +247,134 @@ def delta_k(k: tuple[int, int, int, int], n: int) -> ZetaRational:
     return ZetaRational(total, 1)
 
 
-def _eta_range(k: tuple[int, int, int, int], t: int):
-    """All eta with prod eta_j^k_j <= t."""
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for integers n >= 0 and k >= 1, exactly."""
+    if k == 1:
+        return n
+    if k == 2:
+        return isqrt(n)
+    if n < 2:
+        return n
+    # integer Newton from above: r stays >= the root until it stops falling
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _batches(k: tuple[int, int, int, int], t: int, shell: bool):
+    """The eta4 ranges of the set, per eta triple, in batches of flat lists.
+
+    Python walks the triples (eta1, eta2, eta3) with gcd(eta1, eta2) = 1;
+    the eta4 of the set are lo < eta4 <= hi: the sublevel set of k, or
+    with shell its part outside the sublevel set of k + (1, 1, 1, 0).
+    Yields (eta1 eta2, eta3, lo, hi) as four lists once they hold
+    _CHUNK_ROWS eta4 or more; that is checked after each pair (eta1, eta2),
+    so a batch exceeds _CHUNK_ROWS by at most the eta4 of one pair (about
+    83,000 for K_MAIN at t = 10^9, from the pair (1, 1)).
+    """
+    k1, k2, k3, k4 = k
+    root = isqrt if k4 == 2 else (lambda n: _iroot(n, k4))
+    e12s: list[int] = []
+    e3s: list[int] = []
+    los: list[int] = []
+    his: list[int] = []
+    rows = 0
     e1 = 0
     while True:
         e1 += 1
-        p1 = e1 ** k[0]
+        p1 = e1**k1
         if p1 > t:
             break
         e2 = 0
         while True:
             e2 += 1
-            p2 = p1 * e2 ** k[1]
+            p2 = p1 * e2**k2
             if p2 > t:
                 break
+            if gcd(e1, e2) != 1:
+                continue
+            e12 = e1 * e2
             e3 = 0
             while True:
                 e3 += 1
-                p3 = p2 * e3 ** k[2]
+                p3 = p2 * e3**k3
                 if p3 > t:
                     break
-                e4 = 0
-                while True:
-                    e4 += 1
-                    p4 = p3 * e4 ** k[3]
-                    if p4 > t:
-                        break
-                    yield e1, e2, e3, e4
+                hi = root(t // p3)
+                lo = root(t // (p3 * e12 * e3)) if shell else 0
+                if lo < hi:
+                    e12s.append(e12)
+                    e3s.append(e3)
+                    los.append(lo)
+                    his.append(hi)
+                    rows += hi - lo
+            if rows >= _CHUNK_ROWS:
+                yield e12s, e3s, los, his
+                e12s, e3s, los, his, rows = [], [], [], [], 0
+    if his:
+        yield e12s, e3s, los, his
 
 
-def _terms(etas):
-    """Unreduced (num, den) of zeta(2) theta(eta)/(eta1 eta2 eta3 eta4), per coprime eta.
+def _key_dtype(t: int):
+    """int64 up to _INT64_MAX_T (the bound proved in _key_counts), else object."""
+    return np.int64 if t <= _INT64_MAX_T else object
 
-    The weights are memoised by (eta1 eta2 eta4, eta3) for this sum only.
+
+def _key_counts(k: tuple[int, int, int, int], t: int, shell: bool = False):
+    """The distinct keys (eta1 eta2 eta4, eta3) of the coprime eta, with multiplicities.
+
+    theta(eta)/(eta1 eta2 eta3 eta4) depends on eta only through this key,
+    so a sum over the set is a sum over keys of multiplicity x summand.
+    Python walks the eta triples (_batches); each batch is expanded to
+    one row per eta4 (a ragged arange), filtered by gcd(eta4, eta1 eta2)
+    = 1, which with gcd(eta1, eta2) = 1 is the pairwise coprimality of
+    eta1, eta2, eta4, and reduced to its distinct key codes
+    e124 * M + eta3 (M = floor(t^(1/k3)) + 1 > eta3) by np.unique; the
+    batches are merged at the end.  Returns three arrays (e124, e3, mult),
+    sorted by code.  The rank is cast to the batch dtype, so the object
+    route never mixes numpy int64 scalars into its Python ints.
+
+    int64 safety.  Every k_j >= 1 and eta_j >= 1, so
+    eta1 eta2 eta3 eta4 <= prod eta_j^k_j <= t: every eta_j, eta1 eta2,
+    e124, lo and hi are at most t.  A multiplicity is at most the number
+    of pairs (eta1, eta2) with eta1 eta2 | e124, below t^2.  A code is below
+    (e124 + 1) M <= (t + 1)^2 < 2^63 for t <= _INT64_MAX_T = 3 10^9
+    (9.000000006e18 there).  Above it the arrays hold Python ints
+    (dtype object) and this same code runs exactly.
     """
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-    for eta in etas:
-        if _eta_coprime(eta):
-            e1, e2, e3, e4 = eta
-            key = (e1 * e2 * e4, e3)
-            if key not in memo:
-                num, den = _weight(*key)
-                memo[key] = (num, den * key[0] * e3)
-            yield memo[key]
+    dtype = _key_dtype(t)
+    M = _iroot(max(t, 0), k[2]) + 1
+    codes, mults = [], []
+    for e12s, e3s, los, his in _batches(k, t, shell):
+        lo = np.array(los, dtype)
+        owner, rank = ragged((np.array(his, dtype) - lo).astype(np.int64))
+        e12 = np.array(e12s, dtype)[owner]
+        e4 = lo[owner] + (rank + 1).astype(dtype)
+        keep = np.gcd(e4, e12) == 1
+        code = e12[keep] * e4[keep] * M + np.array(e3s, dtype)[owner][keep]
+        code, mult = np.unique(code, return_counts=True)
+        codes.append(code)
+        mults.append(mult.astype(dtype))
+    if not codes:
+        empty = np.zeros(0, dtype)
+        return empty, empty, empty
+    code, inv = np.unique(np.concatenate(codes), return_inverse=True)
+    mult = np.zeros(len(code), dtype)
+    np.add.at(mult, inv, np.concatenate(mults))
+    return code // M, code % M, mult
+
+
+def _key_terms(k: tuple[int, int, int, int], t: int, shell: bool = False):
+    """(multiplicity x num, den) of zeta(2) theta(eta)/(eta1 eta2 eta3 eta4), per key.
+
+    _weight runs once per distinct key of _key_counts.
+    """
+    for e124, e3, mult in zip(*(a.tolist() for a in _key_counts(k, t, shell))):
+        num, den = _weight(e124, e3)
+        yield mult * num, den * e124 * e3
 
 
 def _exact_sum(terms) -> Fraction:
@@ -273,12 +391,15 @@ def summatory_M(
 ):
     """M_k(t) = sum_{n <= t} Delta_k(n).
 
-    via="eta" enumerates eta directly; via="n" sums delta_k(n), which is
-    much slower and exists as an independent cross-check.  exact=True
-    returns a ZetaRational, summed over one common denominator;
-    exact=False sums the same terms as floats, for large t.
+    via="eta" sums over the distinct keys of the eta with
+    prod eta_j^k_j <= t (_key_counts); via="n" sums delta_k(n), which is
+    much slower, pure Python, and exists as an independent cross-check.
+    exact=True returns a ZetaRational, summed over one common denominator;
+    exact=False sums the same terms as floats, for large t.  k must hold
+    four ints >= 1.
     """
     t = operator.index(t)
+    k = _exponents(k)
     if via == "n":
         total = ZetaRational(Fraction(0), 1)
         for n in range(1, t + 1):
@@ -287,9 +408,9 @@ def summatory_M(
     if via != "eta":
         raise ValueError(f"unknown M mode {via!r}")
     if exact:
-        return ZetaRational(_exact_sum(_terms(_eta_range(k, t))), 1)
+        return ZetaRational(_exact_sum(_key_terms(k, t)), 1)
     acc = 0.0
-    for num, den in _terms(_eta_range(k, t)):
+    for num, den in _key_terms(k, t):
         acc += num / den
     return acc * ZETA2_INV
 
@@ -300,14 +421,12 @@ def e_star_sum(B: int) -> ZetaRational:
     E*(B) keeps eta with eta1^2 eta2^2 eta3^3 eta4^2 <= B but
     eta1^3 eta2^3 eta3^4 eta4^2 > B.  Since the second base is the first
     times eta1 eta2 eta3, the shell is exactly the set difference of the
-    two sublevel sets, and this sum equals M_(2,2,3,2) - M_(3,3,4,2).
+    two sublevel sets, and this sum equals M_(2,2,3,2) - M_(3,3,4,2).  For
+    each eta triple the shell is one range of eta4:
+    isqrt(B // (eta1^3 eta2^3 eta3^4)) < eta4 <= isqrt(B // (eta1^2 eta2^2 eta3^3)).
     """
     B = operator.index(B)
-    shell = (
-        eta for eta in _eta_range(K_MAIN, B)
-        if eta[0] ** 3 * eta[1] ** 3 * eta[2] ** 4 * eta[3] ** 2 > B
-    )
-    return ZetaRational(_exact_sum(_terms(shell)), 1)
+    return ZetaRational(_exact_sum(_key_terms(K_MAIN, B, shell=True)), 1)
 
 
 class MainTermIdentityError(ArithmeticError):

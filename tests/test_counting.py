@@ -113,6 +113,41 @@ def test_worker_count_does_not_change_result():
     assert seq.nb1 > 0 and seq.nb2 > 0
 
 
+def test_pool_capped_at_cpu_count(monkeypatch):
+    from dp5a2 import counting
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs the jobs here; starts nothing."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(counting, "Pool", RecordingPool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    assert count_torsor(10**4, workers=10_000).count == 810_704
+    assert sizes == [2]
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
+    assert count_torsor(10**4, workers=3).count == 810_704
+    assert count_torsor(10, workers=10_000).count == KNOWN_COUNTS[10]  # 3 strata
+    assert sizes == [2, 3, 3]
+    # one CPU, or a count os.cpu_count() cannot tell: no pool at all
+    for cpus in (1, None):
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
+        assert count_torsor(10**4, workers=10_000).count == 810_704
+    assert sizes == [2, 3, 3]
+
+
 def test_split_counts_frozen():
     # (count, na, nb1, nb2) of the per-eta6 Python loop that the array
     # kernel replaced, computed once and frozen

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dp5a2 import dirichlet, verify
@@ -149,6 +150,15 @@ class TestSummatory:
         with pytest.raises(ValueError):
             summatory_M(K_MAIN, 10, via="divisor")
 
+    @pytest.mark.parametrize("k", [(1, 1, 1, 1), (2, 2, 3, 3), (1, 2, 1, 3), (3, 1, 2, 4)])
+    def test_key_route_matches_n_route_for_other_k(self, k):
+        # t at and around perfect squares, cubes and fourth powers checks
+        # the integer k4-th root at the ends of the eta4 ranges
+        for t in (1, 2, 7, 8, 9, 15, 16, 17, 26, 27, 28, 63, 64, 65, 81, 200):
+            ex = summatory_M(k, t)
+            assert ex == summatory_M(k, t, via="n"), (k, t)
+            assert summatory_M(k, t, exact=False) == pytest.approx(float(ex), rel=1e-12)
+
 
 def fraction_oracle(B: int, shell: bool) -> tuple[Fraction, Fraction]:
     """zeta(2) theta(eta)/(e1 e2 e3 e4) summed as one plain Fraction per term.
@@ -199,6 +209,38 @@ class TestExactSums:
         assert not res.passed
         assert res.detail.startswith("B=300: shell sum ")
 
+    def test_batches_merge_exactly(self, monkeypatch):
+        # at the default batch size these B fit in one batch; tiny batches
+        # force the merge of the per-batch key counts
+        sums = {B: (summatory_M(K_MAIN, B), summatory_M(K_CUT, B), e_star_sum(B))
+                for B in (300, 10**4)}
+        monkeypatch.setattr(dirichlet, "_CHUNK_ROWS", 50)
+        for B, want in sums.items():
+            assert (summatory_M(K_MAIN, B), summatory_M(K_CUT, B), e_star_sum(B)) == want
+
+    def test_int64_and_object_routes_agree(self, monkeypatch):
+        cases = [(k, t) for k in (K_MAIN, K_CUT, (1, 1, 1, 1), (1, 2, 1, 3))
+                 for t in (1, 7, 64, 300, 2000)]
+        fast = [(summatory_M(k, t), summatory_M(k, t, exact=False)) for k, t in cases]
+        shells = [e_star_sum(t) for t in (1, 7, 300, 10**4)]
+        # with the bound at 0 every t takes the Python-int (object) route
+        monkeypatch.setattr(dirichlet, "_INT64_MAX_T", 0)
+        assert all(a.dtype == object for a in dirichlet._key_counts(K_MAIN, 300))
+        for (k, t), (ex, fl) in zip(cases, fast):
+            assert summatory_M(k, t) == ex, (k, t)
+            assert summatory_M(k, t, exact=False) == fl, (k, t)
+        assert [e_star_sum(t) for t in (1, 7, 300, 10**4)] == shells
+
+    def test_key_dtype_switch_at_proved_bound(self, monkeypatch):
+        # no loop runs: with an empty walk, _key_counts only picks the dtype
+        monkeypatch.setattr(dirichlet, "_batches", lambda k, t, shell: iter(()))
+        T = dirichlet._INT64_MAX_T
+        for t, dtype in ((T, np.int64), (T + 1, object)):
+            assert dirichlet._key_dtype(t) is dtype
+            assert all(a.dtype == dtype for a in dirichlet._key_counts(K_MAIN, t))
+        # a key code is below (t + 1)^2, which fits in int64 at the bound
+        assert (T + 1) ** 2 < 2**63
+
     def test_sums_keep_no_theta_cache(self):
         before = dirichlet._theta_coeff.cache_info().currsize
         predicted_main_term(10**5, 27.33, cross_check=True)
@@ -218,7 +260,7 @@ class Forbidden:
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10.5])
 def test_non_integer_B_rejected_before_any_loop(monkeypatch, bad):
     # before, nan and inf never left the eta loops, and 10.5 was summed as 10
-    monkeypatch.setattr(dirichlet, "_eta_range", Forbidden())
+    monkeypatch.setattr(dirichlet, "_key_counts", Forbidden())
     with pytest.raises(TypeError):
         summatory_M(K_MAIN, bad)
     with pytest.raises(TypeError):
@@ -234,6 +276,23 @@ def test_non_integer_B_rejected_before_any_loop(monkeypatch, bad):
     for cross_check in (None, True, False):
         with pytest.raises(TypeError):
             predicted_main_term(bad, 1.0, cross_check=cross_check)
+
+
+@pytest.mark.parametrize(
+    "k", [(0, 2, 3, 2), (2, 2, 3, -1), (2, 2, 3, 0), (2, 2, 3), (2, 2, 3, 2, 1),
+          (2, 2, 3.0, 2), "2232", None]
+)
+def test_bad_k_rejected_before_any_loop(monkeypatch, k):
+    # before, k1 = 0 and k4 = -1 never left the eta loops, and k4 = 0
+    # raised ZeroDivisionError in delta_k
+    monkeypatch.setattr(dirichlet, "_key_counts", Forbidden())
+    monkeypatch.setattr(dirichlet, "_theta_coeff", Forbidden())
+    for via in ("eta", "n"):
+        for exact in (True, False):
+            with pytest.raises(ValueError, match="k must hold four ints >= 1"):
+                summatory_M(k, 10, exact=exact, via=via)
+    with pytest.raises(ValueError, match="k must hold four ints >= 1"):
+        delta_k(k, 10)
 
 
 @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf")])
