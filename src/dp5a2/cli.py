@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         p.add_argument("--format", choices=formats)
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel strata (default: DP5A2_WORKERS or 1)")
+                       help="processes for the torsor count (default: DP5A2_WORKERS or 1)")
         p.add_argument("--config", default=None,
                        help="key=value file; command-line flags win")
 
@@ -314,6 +314,8 @@ def _to_config(ns: argparse.Namespace) -> RunConfig:
             raise UsageError("B must be >= 1")
         if runs_naive and B > counting.NAIVE_MAX_B:
             raise UsageError(f"naive enumeration refused for B > {counting.NAIVE_MAX_B}")
+        if B > counting.TORSOR_MAX_B:
+            raise UsageError(f"torsor count refused for B > 2^61 = {counting.TORSOR_MAX_B}")
         if cfg.split and cfg.method != "naive" and B < 3:
             raise UsageError("--split needs B >= 3 (log B > 1)")
     if not math.isfinite(cfg.A):

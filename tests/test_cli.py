@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -70,6 +73,26 @@ def test_count_deterministic_across_workers(capsys):
         ]
 
     assert rows_for("1") == rows_for("2")
+
+
+def test_python_m_runs_the_cli():
+    import dp5a2
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dp5a2.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "dp5a2", *argv],
+                              capture_output=True, text=True, env=env)
+
+    ok = python_m("count", "--B", "100", "--format", "csv")
+    assert ok.returncode == 0, ok.stderr
+    rows = csv_rows(ok.stdout)
+    assert [(r["B"], r["method"], r["count"]) for r in rows] == [("100", "torsor", "2222")]
+    bad = python_m("count", "--B", "0")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:")
 
 
 def test_naive_refuses_large_B(capsys):
@@ -219,6 +242,8 @@ def test_verify_unknown_edge(capsys):
         ("constant", "--tol", "nan"),
         ("count", "--B", ","),
         ("predict", "--B", ","),
+        ("count", "--B", str(2**61 + 1)),
+        ("predict", "--B", str(2**61 + 1)),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -105,24 +105,62 @@ def test_check_bijection_covers_count_torsor(monkeypatch):
     assert not r.passed and "count_torsor" in r.detail
 
 
-def test_worker_count_does_not_change_result():
+def test_worker_count_does_not_change_result(monkeypatch):
+    from dp5a2 import counting
+
     seq = count_torsor(10**4, workers=1, A=1.0)
-    par = count_torsor(10**4, workers=3, A=1.0)
-    assert (seq.count, seq.na, seq.nb1, seq.nb2) == (par.count, par.na, par.nb1, par.nb2)
     assert seq.count == 810_704
     assert seq.nb1 > 0 and seq.nb2 > 0
+    parts = (seq.count, seq.na, seq.nb1, seq.nb2)
+    for workers in (2, 3):
+        par = count_torsor(10**4, workers=workers, A=1.0)
+        assert (par.count, par.na, par.nb1, par.nb2) == parts, workers
+    # a row budget small enough that B = 10^4 spans many slices
+    monkeypatch.setattr(counting, "_UNIT_ROWS", 512)
+    B = 10**4
+    quads = counting._quads(B)
+    table = counting._divisor_table(math.isqrt(2 * B))
+    assert len(counting._units(quads, B, table, 1)) > 100
+    for workers in (1, 2, 3):
+        r = count_torsor(B, workers=workers, A=1.0)
+        assert (r.count, r.na, r.nb1, r.nb2) == parts, workers
+
+
+def test_units_are_contiguous_and_within_budget(monkeypatch):
+    from dp5a2 import counting
+
+    B = 10**4
+    quads = counting._quads(B)
+    table = counting._divisor_table(math.isqrt(2 * B))
+    _, cols, _, nterms = counting._groups(quads, B, 0, table)
+    total = int((cols[0] * nterms).sum())
+    for budget, procs in ((1 << 18, 1), (1 << 18, 2), (4096, 1), (4096, 3), (1, 1)):
+        monkeypatch.setattr(counting, "_UNIT_ROWS", budget)
+        units = counting._units(quads, B, table, procs)
+        assert units[0][0] == 0 and units[-1][1] == len(quads[0])
+        assert all(hi == lo2 and lo < hi for (lo, hi), (lo2, _) in zip(units, units[1:]))
+        cap = budget if procs == 1 else min(budget, -(-total // (4 * procs)))
+        seen = 0
+        for lo, hi in units:
+            q, cols, _, nterms = counting._groups(tuple(c[lo:hi] for c in quads), B, 0, table)
+            rows = np.bincount(q, cols[0] * nterms).astype(np.int64)
+            assert rows.sum() - rows[-1] < cap, (budget, procs, lo, hi)
+            seen += int(rows.sum())
+        assert seen == total
 
 
 def test_pool_capped_at_cpu_count(monkeypatch):
     from dp5a2 import counting
 
     sizes = []
+    njobs = []
 
     class RecordingPool:
         """Records the pool size asked for and runs the jobs here; starts nothing."""
 
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -131,21 +169,25 @@ def test_pool_capped_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, jobs, chunksize=1):
+            njobs.append(len(jobs))
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(counting, "Pool", RecordingPool)
+    monkeypatch.setattr(counting, "_worker_table", None)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     assert count_torsor(10**4, workers=10_000).count == 810_704
     assert sizes == [2]
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
     assert count_torsor(10**4, workers=3).count == 810_704
-    assert count_torsor(10, workers=10_000).count == KNOWN_COUNTS[10]  # 3 strata
-    assert sizes == [2, 3, 3]
-    # one CPU, or a count os.cpu_count() cannot tell: no pool at all
+    assert count_torsor(5, workers=10_000).count == KNOWN_COUNTS[5]  # 4 quadruples
+    assert sizes == [2, 3, 4] and njobs[2] == 4
+    assert all(s <= n for s, n in zip(sizes, njobs))  # never more processes than units
+    # one CPU, a count os.cpu_count() cannot tell, or one work unit: no pool at all
+    assert count_torsor(2, workers=10_000).count == KNOWN_COUNTS[2]
     for cpus in (1, None):
         monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
         assert count_torsor(10**4, workers=10_000).count == 810_704
-    assert sizes == [2, 3, 3]
+    assert sizes == [2, 3, 4]
 
 
 def test_split_counts_frozen():
@@ -176,24 +218,35 @@ def test_counts_are_python_ints(capsys):
 def test_kernel_int64_and_object_routes_agree(monkeypatch):
     from dp5a2 import counting
 
-    cases = [
-        (e1, B, thr)
-        for B in (1, 2, 7, 30, 100, 300, 1000)
-        for thr in (None, B / math.log(B) if B >= 3 else None)
-        for e1 in range(1, math.isqrt(B) + 1)
-    ]
-    fast = [counting._count_stratum(*case) for case in cases]
+    monkeypatch.setattr(counting, "_UNIT_ROWS", 64)  # several units per B
+    cases = []
+    for B in (1, 2, 7, 30, 100, 300, 1000):
+        quads = counting._quads(B)
+        table = counting._divisor_table(math.isqrt(2 * B))
+        for cap in {0, math.floor(B / math.log(B)) if B >= 3 else 0}:
+            for lo, hi in counting._units(quads, B, table, 1):
+                cases.append((B, cap, tuple(c[lo:hi] for c in quads), table))
+    fast = [counting._count_unit(*case) for case in cases]
     # with the bound at 0 every B takes the Python-int (object) route
     monkeypatch.setattr(counting, "_INT64_MAX_B", 0)
     assert counting._kernel_dtype(1) is object
-    exact = [counting._count_stratum(*case) for case in cases]
+    exact = [counting._count_unit(*case) for case in cases]
     for case, f, e in zip(cases, fast, exact):
-        assert f == e, case
+        assert f == e, case[:2]
         assert all(type(v) is int for v in f + e)
 
 
+def _icbrt(x):
+    r = round(x ** (1 / 3))
+    while r**3 > x:
+        r -= 1
+    while (r + 1) ** 3 <= x:
+        r += 1
+    return r
+
+
 def test_kernel_dtype_switch_at_proved_bound():
-    from dp5a2.counting import _INT64_MAX_B, _isqrt_int64, _kernel_dtype
+    from dp5a2.counting import _INT64_MAX_B, TORSOR_MAX_B, _iroot, _kernel_dtype
 
     B = _INT64_MAX_B
     assert _kernel_dtype(B) is np.int64
@@ -207,14 +260,130 @@ def test_kernel_dtype_switch_at_proved_bound():
     for s in (math.isqrt(top), 3 * 10**9 // 2, 10**6, 94_906_265, 2**26 + 1):
         xs |= {s * s - 1, s * s, s * s + 1, s * s + 2 * s}
     xs = sorted(x for x in xs if 0 <= x <= top)
-    got = _isqrt_int64(np.array(xs, dtype=np.int64))
+    got = _iroot(np.array(xs, dtype=np.int64), 2)
     assert got.tolist() == [math.isqrt(x) for x in xs]
+    # the roots of x <= 2B that the tables take, at the sweep's bound and at
+    # TORSOR_MAX_B, where the correction steps still stay below 2^63
+    for b in (B, TORSOR_MAX_B):
+        x2 = 2 * b
+        assert (math.isqrt(x2) + 2) ** 2 < 2**63 and (_icbrt(x2) + 2) ** 3 < 2**63
+        xs = {0, 1, 7, 8, 9, x2 - 1, x2}
+        for r in (math.isqrt(x2), _icbrt(x2), 2**21, 1_234_567):
+            xs |= {r * r - 1, r * r, r * r + 1, r**3 - 1, r**3, r**3 + 1}
+        xs = sorted(x for x in xs if 0 <= x <= x2)
+        arr = np.array(xs, dtype=np.int64)
+        assert _iroot(arr, 2).tolist() == [math.isqrt(x) for x in xs], b
+        assert _iroot(arr, 3).tolist() == [_icbrt(x) for x in xs], b
+
+
+def _signed_divisors(n):
+    """(d, mu(d)) for the squarefree d | n, by trial division."""
+    out = [(1, 1)]
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            out += [(d * p, -mu) for d, mu in out]
+    return out
+
+
+def _plain_tables(B, cap):
+    """Per group, its sweep columns and sorted Moebius terms, by nested loops."""
+    from itertools import count
+
+    out = []
+    for e1 in range(1, math.isqrt(B) + 1):
+        for e2 in count(1):
+            if (e1 * e2) ** 2 > B:
+                break
+            if math.gcd(e1, e2) != 1:
+                continue
+            for e3 in count(1):
+                if (e1 * e2) ** 2 * e3**3 > B:
+                    break
+                for e4 in count(1):
+                    base = (e1 * e2) ** 2 * e3**3 * e4**2
+                    if base > B:
+                        break
+                    if math.gcd(e4, e1 * e2) != 1:
+                        continue
+                    for e5 in count(1):
+                        c1 = e1 * e2 * e3**2 * e4**2 * e5**2
+                        c2 = e3 * e4**2 * e5**3
+                        if base * e5 > B or c1 > 2 * B or c2 > 2 * B:
+                            break
+                        if math.gcd(e5, e1 * e2 * e3) != 1:
+                            continue
+                        cols = (
+                            min(2 * B // c1, math.isqrt(2 * B // c2)), e5, e4 * e5**2,
+                            e1 * e3 * e4 * e5, e2 * e3 * e4 * e5,
+                            B // (e1**2 * e2 * e3**2 * e4), B // (e1 * e2**2 * e3**2 * e4),
+                            e1, e2, e1 * e2 * e3 * e4, int(base <= cap),
+                        )
+                        terms = []
+                        for d1, mu1 in _signed_divisors(e3 * e4):
+                            for d2, mu2 in _signed_divisors(e3 * e5):
+                                if math.gcd(d2, e1) != 1:
+                                    continue
+                                m = e2 * d2
+                                h = math.gcd(m, d1)
+                                m1, dh = m // h, d1 // h
+                                w = dh * pow(e1 * dh, -1, m1)
+                                terms.append((mu1 * mu2, h, m1 * dh, w, h * m1 * dh))
+                        out.append((cols, sorted(terms)))
+    return out
+
+
+def test_tables_match_plain_python():
+    from dp5a2 import arith, counting
+
+    table = counting._divisor_table(100)
+    rad, cnt, start, d, mu = table
+    for x in range(1, 101):
+        divs = sorted(zip(d[start[x] : start[x] + cnt[x]].tolist(),
+                          mu[start[x] : start[x] + cnt[x]].tolist()))
+        assert divs == [(v, arith.moebius(v)) for v in arith.squarefree_divisors(x)], x
+        assert rad[x] == math.prod(arith.prime_divisors(x)), x
+    for B in (1, 2, 7, 30, 100, 1000):
+        for cap in {0, math.floor(B / math.log(B)) if B >= 3 else 0}:
+            quads = counting._quads(B)
+            table = counting._divisor_table(math.isqrt(2 * B))
+            _, cols, sets, nterms = counting._groups(quads, B, cap, table)
+            terms = counting._terms(cols, sets, nterms, table).T.tolist()
+            ends = np.cumsum(nterms).tolist()
+            got = [
+                (tuple(int(c[i]) for c in cols), sorted(map(tuple, terms[end - n : end])))
+                for i, (n, end) in enumerate(zip(nterms.tolist(), ends))
+            ]
+            assert got == _plain_tables(B, cap), (B, cap)
+
+
+def test_inverse_matches_pow():
+    from dp5a2.counting import _inverse
+
+    pairs = [(0, 1), (1, 2), (1, 3), (1, 10**9 + 7), (2 * 10**9 - 2, 2 * 10**9 - 1),
+             (1_134_903_170, 1_836_311_903),  # consecutive Fibonacci numbers
+             (1, 2 * 10**9 + 11), (10**9, 2 * 10**9 + 1), (12_345, 2 * 10**9 + 3)]
+    rng = np.random.default_rng(7)
+    for m in rng.integers(2, 2 * 10**9 + 100, 300).tolist():
+        a = int(rng.integers(0, m))
+        if math.gcd(a, m) == 1:
+            pairs.append((a, m))
+    a, m = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    assert _inverse(a, m).tolist() == [pow(x, -1, n) for x, n in pairs]
+    # m = 1 everywhere (so d1/h = 1 in the table): the class is 0
+    assert _inverse(np.zeros(3, np.int64), np.ones(3, np.int64)).tolist() == [0, 0, 0]
 
 
 def test_workers_below_one_rejected():
     for workers in (0, -3):
         with pytest.raises(ValueError):
             count_torsor(10, workers=workers)
+
+
+def test_torsor_refuses_B_above_table_bound():
+    from dp5a2.counting import TORSOR_MAX_B
+
+    with pytest.raises(ValueError, match="TORSOR_MAX_B"):
+        count_torsor(TORSOR_MAX_B + 1)
 
 
 def test_split_partition():
