@@ -4,7 +4,7 @@ count_naive      -- box search over the defining equations (oracle engine).
 count_torsor     -- torsor count: the outer tuples (eta1, ..., eta6), with
                     the alpha1 of each counted in closed form by one
                     batched numpy kernel.
-torsor_solutions -- the torsor tuples themselves, by plain enumeration.
+torsor_solutions -- the torsor tuples themselves, enumerated as numpy rows.
 
 Both engines count rational points of U (surface minus lines) of height
 <= B.  The torsor engine enumerates eta1, ..., eta5 under (6)-(8);
@@ -39,8 +39,10 @@ units; each slice builds its groups and terms and runs one numpy kernel
 int64 up to B = _INT64_MAX_B = 2*10^9, the bound its docstring proves,
 and on arrays of Python ints (dtype object) above it.
 
-torsor_solutions filters equation_solutions by the reduced conditions; it
-shares no code with count_torsor, so either checks the other.
+equation_solutions and torsor_solutions (the ones that meet the reduced
+conditions) read the rows of one numpy enumeration, _equation_rows, which
+shares no code with count_torsor beyond arith.ragged, so either checks the
+other.  verify_bijection maps those rows by psi in one call.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ TORSOR_MAX_B = 1 << 61
 _INT64_MAX_B = 2 * 10**9
 # eta6 x Moebius-term rows per work unit (one _sweep call)
 _UNIT_ROWS = 1 << 18
+# The largest B at which _equation_rows cannot overflow int64 (proved there)
+_SOLUTIONS_MAX_B = 10**9
 
 
 @dataclass
@@ -104,21 +108,12 @@ class CountResult:
 def count_naive(B: int) -> CountResult:
     """Count U-points of height <= B by brute force over the quadrics.
 
-    The box points come from brute_force_points as one (N, 6) array, one
-    row per point, and are classified by a single in_U call.  Every x0 = 0
-    surface point in the box must lie on one of the four lines; the same
-    mask verifies that, it is not assumed.  ProjectivePoints are built for
-    the U rows only.  brute_force_points refuses B outside 1..NAIVE_MAX_B
-    with ValueError.
+    The U points are the rows of _naive_rows(B); ProjectivePoints are
+    built for them only.  brute_force_points refuses B outside
+    1..NAIVE_MAX_B with ValueError.
     """
     t0 = time.perf_counter()
-    rows = brute_force_points(B)
-    mask = in_U(rows)
-    stray = mask & (rows[:, 0] == 0)
-    if stray.any():
-        p = tuple(rows[stray.argmax()].tolist())
-        raise RuntimeError(f"x0 = 0 surface point {p} is on no line")
-    upts = frozenset(map(ProjectivePoint._make, rows[mask].tolist()))
+    upts = frozenset(map(ProjectivePoint._make, _naive_rows(B).tolist()))
     return CountResult(
         B=B,
         method="naive",
@@ -126,6 +121,23 @@ def count_naive(B: int) -> CountResult:
         points=upts,
         seconds=time.perf_counter() - t0,
     )
+
+
+def _naive_rows(B: int) -> np.ndarray:
+    """The points of U of height <= B found by box search, as (N, 6) int64 rows.
+
+    The box points come from brute_force_points as one array, one row per
+    point, and are classified by a single in_U call.  Every x0 = 0 surface
+    point in the box must lie on one of the four lines; the same mask
+    verifies that, it is not assumed.
+    """
+    rows = brute_force_points(B)
+    mask = in_U(rows)
+    stray = mask & (rows[:, 0] == 0)
+    if stray.any():
+        p = tuple(rows[stray.argmax()].tolist())
+        raise RuntimeError(f"x0 = 0 surface point {p} is on no line")
+    return rows[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -590,27 +602,42 @@ class BijectionResult:
 
 
 def verify_bijection(B: int) -> BijectionResult:
-    """The naive points at B against the psi images of torsor_solutions(B).
+    """The naive points at B against the psi images of the torsor tuples of B.
 
     Equal sets and no duplicate image make psi a bijection at height B.
+    psi maps all the tuples in one call.  A row with every |x_i| <= B is
+    compared as one int64 key, its digits x_i + B in base 2B + 1: the key
+    is injective there, orders rows lexicographically, and is below
+    (2B + 1)^6 < 2^63 for B <= NAIVE_MAX_B.  An image with some |x_i| > B
+    is no naive point; it is reported in only_torsor, once.
     """
-    naive = count_naive(B)
-    images = [psi(t) for t in torsor_solutions(B)]
-    seen: set[ProjectivePoint] = set()
-    dups: list[ProjectivePoint] = []
-    for p in images:
-        if p in seen:
-            dups.append(p)
-        seen.add(p)
-    npts = naive.points or frozenset()
-    only_naive = tuple(sorted(npts - seen))
-    only_torsor = tuple(sorted(seen - npts))
+    naive = _naive_rows(B)
+    images = psi(_torsor_rows(B))
+    base = 2 * B + 1
+    assert base**6 < 2**63, "row keys overflow int64"
+    weights = base ** np.arange(5, -1, -1, dtype=np.int64)
+    inside = (np.abs(images) <= B).all(axis=1)
+    keys = np.sort((images[inside].astype(np.int64) + B) @ weights)
+    naive_keys = np.sort((naive + B) @ weights)
+
+    def points(k: np.ndarray) -> tuple[ProjectivePoint, ...]:
+        return tuple(map(ProjectivePoint._make, (k[:, None] // weights % base - B).tolist()))
+
+    def missing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The keys of a that are not in the sorted keys b."""
+        b = np.append(b, base**6)  # above every key, so the lookup stays in range
+        return a[b[np.searchsorted(b, a)] != a]
+
+    dups = points(keys[1:][keys[1:] == keys[:-1]])
+    only_naive = points(missing(naive_keys, keys))
+    far = map(ProjectivePoint._make, images[~inside].tolist())
+    only_torsor = tuple(sorted({*points(missing(keys, naive_keys)), *far}))
     return BijectionResult(
         B=B,
         equal=not dups and not only_naive and not only_torsor,
-        n_naive=naive.count,
+        n_naive=len(naive),
         n_torsor=len(images),
-        duplicate_images=tuple(dups),
+        duplicate_images=dups,
         only_naive=only_naive,
         only_torsor=only_torsor,
     )
@@ -623,77 +650,123 @@ def verify_bijection(B: int) -> BijectionResult:
 
 def torsor_solutions(B: int) -> Iterator[TorsorPoint]:
     """The torsor tuples with max|psi_i| <= B: one per point of U."""
-    return (t for t in equation_solutions(B) if coprimality_reduced(t))
+    return map(TorsorPoint._make, _torsor_rows(B).tolist())
 
 
 def equation_solutions(B: int) -> Iterator[TorsorPoint]:
     """All torsor-equation solutions with max|psi_i| <= B, no coprimality.
 
-    The eta6 pruning bounds remain valid here: they follow from the
-    equation and the height alone.
+    The rows of _equation_rows, in its lexicographic order.
     """
+    return map(TorsorPoint._make, _equation_rows(B).tolist())
+
+
+def _torsor_rows(B: int) -> np.ndarray:
+    """The rows of _equation_rows(B) that satisfy conditions (4)-(8)."""
+    rows = _equation_rows(B)
+    return rows[coprimality_reduced(rows)]
+
+
+def _cap(n: np.ndarray, k: int) -> np.ndarray:
+    """An int64 cap >= floor(n^(1/k)) for int64 n >= 0, k = 2 or 3: the float root + 1.
+
+    The float root is within 1 of the real one, so the cap is at least the
+    integer root and below the real root + 2; callers test every value
+    up to it.
+    """
+    return (np.sqrt if k == 2 else np.cbrt)(n.astype(np.float64)).astype(np.int64) + 1
+
+
+def _equation_rows(B: int) -> np.ndarray:
+    """All torsor-equation solutions with max|psi_i| <= B, as an (N, 8) int64 array.
+
+    No coprimality is imposed.  The rows (eta1, ..., eta6, alpha1, alpha2)
+    come in lexicographic order, built level by level, each a ragged
+    arange over its parent rows up to a cap, then an exact test:
+
+      * eta1..eta5 with x0 = base eta5 <= B (base = eta1^2 eta2^2 eta3^3
+        eta4^2), c1 eta5^2 <= 2B and c2 eta5^3 <= 2B (c1 = eta1 eta2
+        eta3^2 eta4^2, c2 = eta3 eta4^2);
+      * eta6 != 0 with c1 eta5^2 |eta6| <= 2B and c2 eta5^3 eta6^2 <= 2B:
+        |x1 + x4|, |x3 + x5| <= 2B, which follow from the equation and
+        the height alone;
+      * alpha1 with |x1| = k1 |alpha1| <= B and |x3| = k3 |eta6 alpha1|
+        <= B, in the one class mod m = eta2/g (g = gcd(eta1, eta2) must
+        divide rhs = eta4 eta5^2 eta6) where eta2 | rhs + eta1 alpha1;
+        the inverse of eta1/g mod m comes from pow, once per (eta1, eta2);
+      * alpha2 = -(rhs + eta1 alpha1) / eta2, kept when |x2|, |x4| =
+        k4 |alpha2| and |x5| = k5 |eta6 alpha2| are <= B.
+
+    Here k1 = eta1^2 eta2 eta3^2 eta4, k3 = eta1 eta3 eta4 eta5,
+    k4 = eta1 eta2^2 eta3^2 eta4 and k5 = eta2 eta3 eta4 eta5.
+
+    int64 safety.  The eta_i are >= 1, and each product of them formed
+    here divides x0, c1 eta5^2 or c2 eta5^3 (k3 and k5 divide c1 eta5^2,
+    the others base).  A cap is below its real root + 2, so a tested v^k
+    or c v^k at a cap is below 54B, or 9B (2B)^(2/3) for c1 eta5^2; past
+    the tests, base eta5, c1 eta5^2 and c2 eta5^3 are at most 2B, and so
+    are rhs, k3 |eta6| and k5 |eta6|.  Then eta1 |alpha1| <= k1 |alpha1|
+    <= B gives |alpha2| <= 3B, and the tested products k4 |alpha2|,
+    k5 |eta6| |alpha2| and |eta6 alpha1| |alpha2| are at most 6B^2.  The
+    class ((-rhs/g) mod m) times the inverse is below m^2 <= B.  All are
+    below 2^63 for B <= _SOLUTIONS_MAX_B = 10^9; larger B is refused with
+    ValueError.
+    """
+    if not 1 <= B <= _SOLUTIONS_MAX_B:
+        raise ValueError(f"B must be in 1..{_SOLUTIONS_MAX_B}, got {B}")
     twoB = 2 * B
-    for e1 in range(1, isqrt(B) + 1):
-        e1sq = e1 * e1
-        e2 = 0
-        while True:
-            e2 += 1
-            base12 = e1sq * e2 * e2
-            if base12 > B:
-                break
-            e3 = 0
-            while True:
-                e3 += 1
-                base123 = base12 * e3**3
-                if base123 > B:
-                    break
-                e4 = 0
-                while True:
-                    e4 += 1
-                    base = base123 * e4 * e4
-                    if base > B:
-                        break
-                    k1 = e1sq * e2 * e3 * e3 * e4
-                    k4 = e1 * e2 * e2 * e3 * e3 * e4
-                    e5 = 0
-                    while True:
-                        e5 += 1
-                        if base * e5 > B:
-                            break
-                        m1 = twoB // (e1 * e2 * e3 * e3 * e4 * e4 * e5 * e5)
-                        if m1 == 0:
-                            break
-                        m2 = isqrt(twoB // (e3 * e4 * e4 * e5**3))
-                        if m2 == 0:
-                            break
-                        e6max = min(m1, m2)
-                        k3 = e1 * e3 * e4 * e5
-                        k5 = e2 * e3 * e4 * e5
-                        g = gcd(e1, e2)
-                        e2red = e2 // g
-                        e1inv = pow(e1 // g, -1, e2red) if e2red > 1 else 0
-                        for e6 in range(-e6max, e6max + 1):
-                            if e6 == 0:
-                                continue
-                            rhs = e4 * e5 * e5 * e6
-                            if rhs % g:
-                                continue  # equation has no integer alpha solutions
-                            a1max = min(B // k1, B // (k3 * abs(e6)))
-                            if e2red == 1:
-                                start, step = -a1max, 1
-                            else:
-                                r = (-(rhs // g) * e1inv) % e2red
-                                start = -a1max + (r + a1max) % e2red
-                                step = e2red
-                            for a1 in range(start, a1max + 1, step):
-                                a2 = -(rhs + e1 * a1) // e2
-                                if k4 * abs(a2) > B:
-                                    continue
-                                if k5 * abs(e6) * abs(a2) > B:
-                                    continue
-                                if abs(e6 * a1 * a2) > B:
-                                    continue
-                                yield TorsorPoint(e1, e2, e3, e4, e5, e6, a1, a2)
+    r = isqrt(B)
+    e1, e2 = ragged(r // np.arange(1, r + 1))  # eta1 eta2 <= isqrt(B)
+    e1, e2 = e1 + 1, e2 + 1
+    g = np.gcd(e1, e2)
+    m = e2 // g
+    inv = [pow(a, -1, b) if b > 1 else 0 for a, b in zip((e1 // g).tolist(), m.tolist())]
+    inv = np.array(inv, dtype=np.int64)
+    n = B // (e1 * e2) ** 2
+    k, e3 = ragged(_cap(n, 3))  # k: the (eta1, eta2) row
+    e3 += 1
+    keep = e3**3 <= n[k]
+    k, e3 = k[keep], e3[keep]
+    n = n[k] // e3**3
+    q, e4 = ragged(_cap(n, 2))
+    e4 += 1
+    keep = e4 * e4 <= n[q]
+    q, e4 = q[keep], e4[keep]
+    k, e3, x0max = k[q], e3[q], n[q] // (e4 * e4)  # B // base: x0 <= B iff eta5 <= it
+    c2 = e3 * e4 * e4
+    c1 = (e1 * e2)[k] * e3 * c2
+    q, e5 = ragged(_cap(twoB // c2, 3))
+    e5 += 1
+    keep = (e5 <= x0max[q]) & (c1[q] * e5 * e5 <= twoB) & (c2[q] * e5**3 <= twoB)
+    q, e5 = q[keep], e5[keep]
+    k, e3, e4, c1, c2 = k[q], e3[q], e4[q], c1[q], c2[q]
+    # eta6 = -cap, ..., -1, 1, ..., cap, with cap <= 2B // (c1 eta5^2)
+    n = twoB // (c2 * e5**3)
+    cap = np.minimum(twoB // (c1 * e5 * e5), _cap(n, 2))
+    q, e6 = ragged(2 * cap)
+    e6 -= cap[q]
+    e6 += e6 >= 0
+    keep = e6 * e6 <= n[q]
+    q, e6 = q[keep], e6[keep]
+    k, e3, e4, e5 = k[q], e3[q], e4[q], e5[q]
+    e1, e2, g, m, inv = e1[k], e2[k], g[k], m[k], inv[k]
+    rhs = e4 * e5 * e5 * e6
+    e34 = e3 * e4
+    a1max = np.minimum(B // (e1 * e1 * e2 * e3 * e34), B // (e1 * e34 * e5 * np.abs(e6)))
+    # alpha1 = cls (mod m): the candidates lo, lo + m, ..., up to a1max
+    cls = (-(rhs // g) % m) * inv % m
+    lo = -a1max + (cls + a1max) % m
+    q, i = ragged(np.where(rhs % g == 0, (a1max - lo) // m + 1, 0))
+    a1 = lo[q] + m[q] * i
+    e1, e2, e3, e4, e5, e6, e34 = e1[q], e2[q], e3[q], e4[q], e5[q], e6[q], e34[q]
+    a2 = -(rhs[q] + e1 * a1) // e2
+    aa2 = np.abs(a2)
+    keep = (
+        (e1 * e2 * e2 * e3 * e34 * aa2 <= B)
+        & (e2 * e34 * e5 * np.abs(e6) * aa2 <= B)
+        & (np.abs(e6 * a1) * aa2 <= B)
+    )
+    return np.stack([e1, e2, e3, e4, e5, e6, a1, a2], axis=1)[keep]
 
 
 def equation_solutions_box(N: int) -> Iterator[TorsorPoint]:

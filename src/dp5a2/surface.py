@@ -57,8 +57,24 @@ def quadric_values(p):
     )
 
 
-def is_on_surface(p: Sequence[int]) -> bool:
-    return all(q == 0 for q in quadric_values(tuple(p)))
+def is_on_surface(p):
+    """True iff p lies on S.
+
+    p is one point (returns a bool) or an (N, 6) integer array (returns a
+    boolean mask), exact for any Python ints: int64 when every
+    |x_i| < 2^30 (each quadric is a sum of at most three products, below
+    3 * 2^60), else Python ints (dtype=object).
+    """
+    if not isinstance(p, np.ndarray):
+        return all(q == 0 for q in quadric_values(tuple(p)))
+    if p.dtype != object and _magnitude(p) >= 2**30:
+        p = p.astype(object)
+    return np.logical_and.reduce([q == 0 for q in quadric_values(p.T)])
+
+
+def _magnitude(x: np.ndarray) -> int:
+    """max |x_i| over an integer array, as a Python int (0 if it is empty)."""
+    return max(-int(x.min()), int(x.max())) if x.size else 0
 
 
 def normalize(p: Sequence[int]) -> ProjectivePoint:
@@ -208,14 +224,14 @@ def in_U(p):
     p is one point (returns a bool) or an (N, 6) integer array (returns a
     boolean mask of length N).  Raises ValueError if any row is off S.
 
-    The line test is one product with the integer matrix of the
-    annihilator rows of LINES, read at call time: a row lies on a line iff
-    that line's block of the product vanishes.  The result is exact for
-    any Python ints.  The arithmetic runs in int64 when every |x_i| < 2^30
-    (each quadric is a sum of at most three products, below 3 * 2^60) and
-    the annihilator rows are small enough to stay below 2^62 likewise;
-    otherwise it runs on Python ints (dtype=object).  Rows are processed in
-    blocks, so the temporaries do not grow with N.
+    A row lies on a line iff every annihilator row of that line (from
+    LINES, read at call time) vanishes on it; each such linear form is
+    evaluated on the columns it involves, at most three.  The result is
+    exact for any Python ints.  The arithmetic runs in int64 when every
+    |x_i| < 2^30 (see is_on_surface) and the annihilator rows are small
+    enough for each form to stay below 2^62 likewise; otherwise it runs on
+    Python ints (dtype=object).  Rows are processed in blocks, so the
+    temporaries do not grow with N.
     """
     x = np.asarray(p)
     single = x.ndim == 1
@@ -224,22 +240,29 @@ def in_U(p):
     x = np.atleast_2d(x)
     if x.dtype != object and x.dtype.kind not in "iu":
         raise TypeError(f"in_U needs integer coordinates, not {x.dtype}")
-    rows = [w for line in LINES for w in line.annihilator]
-    starts = np.cumsum([0] + [len(line.annihilator) for line in LINES[:-1]])
-    width = max(sum(abs(a) for a in w) for w in rows)
-    big = max(-int(x.min()), int(x.max())) if x.size else 0
-    dtype = np.int64 if big < 2**30 and big * width < 2**62 else object
-    x = x.astype(dtype, copy=False)
-    ann_t = np.array(rows, dtype=dtype).T
+    # each line's forms as (column, coefficient) pairs over their nonzero entries
+    forms = [[[(c, a) for c, a in enumerate(w) if a] for w in line.annihilator] for line in LINES]
+    width = max(sum(abs(a) for _, a in f) for line in forms for f in line)
+    big = _magnitude(x)
+    x = x.astype(np.int64 if big < 2**30 and big * width < 2**62 else object, copy=False)
     mask = np.empty(len(x), dtype=bool)
     for lo in range(0, len(x), _IN_U_CHUNK):
         block = x[lo : lo + _IN_U_CHUNK]
-        off = ~np.logical_and.reduce([q == 0 for q in quadric_values(block.T)])
+        off = ~is_on_surface(block)
         if off.any():
             raise ValueError(f"point {tuple(block[off.argmax()].tolist())} is not on the surface")
-        on_line = np.logical_and.reduceat(block @ ann_t == 0, starts, axis=1)
-        mask[lo : lo + _IN_U_CHUNK] = ~on_line.any(axis=1)
+        cols = block.T
+        on_line = np.zeros(len(block), dtype=bool)
+        for line in forms:
+            on_line |= np.logical_and.reduce([_form(cols, f) == 0 for f in line])
+        mask[lo : lo + _IN_U_CHUNK] = ~on_line
     return bool(mask[0]) if single else mask
+
+
+def _form(cols, f: list[tuple[int, int]]):
+    """The linear form with (column, coefficient) pairs f, on the columns cols."""
+    terms = [cols[c] if a == 1 else a * cols[c] for c, a in f]
+    return sum(terms[1:], terms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +346,10 @@ def brute_force_points(bound: int) -> np.ndarray:
         raise ValueError(f"brute force box {bound} exceeds feasibility bound {BRUTE_FORCE_MAX}")
     rows = _box_candidates(bound)
     keep = np.logical_and.reduce([q == 0 for q in quadric_values(rows.T)])
-    keep &= np.gcd.reduce(rows, axis=1) == 1
+    g = rows[:, 0]
+    for c in range(1, 6):
+        g = np.gcd(g, rows[:, c])
+    keep &= g == 1
     rows = rows[keep].astype(np.int64)
     rows.flags.writeable = False
     return rows

@@ -33,6 +33,8 @@ from itertools import combinations
 from math import gcd, inf
 from typing import NamedTuple
 
+import numpy as np
+
 from .surface import ProjectivePoint, is_on_surface
 
 __all__ = [
@@ -121,20 +123,34 @@ def coprimality_full(t: TorsorPoint, edges: frozenset[frozenset[str]] = EDGES) -
     return all(gcd(t[i], t[j]) == 1 for i, j in _required_index_pairs(edges))
 
 
-def coprimality_reduced(t: TorsorPoint) -> bool:
-    """Conditions (4)-(8); equivalent to coprimality_full on equation solutions."""
+def coprimality_reduced(t):
+    """Conditions (4)-(8); equivalent to coprimality_full on equation solutions.
+
+    t is one tuple (returns a bool) or an (N, 8) integer array of tuples
+    (returns a boolean mask).  An int64 array is exact while x0 of psi
+    fits in int64 (eta1 eta2 eta3 eta4 and eta3 eta5 divide it), an
+    array of Python ints (dtype=object) always.
+    """
+    rows = isinstance(t, np.ndarray)
+    e1, e2, e3, e4, e5, e6, a1, a2 = t.T if rows else t
+    g = np.gcd if rows else gcd
     return (
-        gcd(t.alpha2, t.eta3 * t.eta5) == 1
-        and gcd(t.alpha1, t.eta3 * t.eta4) == 1
-        and gcd(t.eta6, t.eta1 * t.eta2 * t.eta3 * t.eta4) == 1
-        and gcd(t.eta5, t.eta1 * t.eta2 * t.eta3) == 1
-        and gcd(t.eta1, t.eta2) == 1
-        and gcd(t.eta1, t.eta4) == 1
-        and gcd(t.eta2, t.eta4) == 1
+        (g(a2, e3 * e5) == 1)
+        & (g(a1, e3 * e4) == 1)
+        & (g(e6, e1 * e2 * e3 * e4) == 1)
+        & (g(e5, e1 * e2 * e3) == 1)
+        & (g(e1, e2) == 1)
+        & (g(e1, e4) == 1)
+        & (g(e2, e4) == 1)
     )
 
 
-def psi(t: TorsorPoint) -> ProjectivePoint:
+# eta1^2 eta2^2 eta3^3 eta4^2 eta5 eta6 alpha1 alpha2, which every monomial
+# of psi divides, as exponents in VERTICES order
+_PSI_DEGREE = (2, 2, 3, 2, 1, 1, 1, 1)
+
+
+def psi(t):
     """The torsor-to-surface map.
 
     psi(t) = ( eta1^2 eta2^2 eta3^3 eta4^2 eta5,
@@ -144,11 +160,27 @@ def psi(t: TorsorPoint) -> ProjectivePoint:
                eta1 eta2^2 eta3^2 eta4 alpha2,
                eta2 eta3 eta4 eta5 eta6 alpha2 ).
 
-    Fails loudly if the image is imprimitive or off the surface, either of
-    which would mean t violates the torsor equation or the coprimalities.
+    t is one tuple (returns a ProjectivePoint) or an (N, 8) integer array
+    of tuples (returns the (N, 6) array of their images).  Fails loudly if
+    an image is imprimitive or off the surface, either of which would mean
+    its tuple violates the torsor equation or the coprimalities; every row
+    of an array is checked, and the first bad one raises its own error.
+
+    An array is exact for any Python ints.  Every power and partial
+    product formed here is at most P = prod max(1, |t_i|)^d_i in absolute
+    value (d = _PSI_DEGREE).  If P in float64, within 2^-48 relative of
+    the exact P (13 rounded factors), is below 2^62 on every row, the
+    arithmetic runs in int64; otherwise on Python ints (dtype=object).
     """
-    e1, e2, e3, e4, e5, e6, a1, a2 = t
-    p = ProjectivePoint(
+    rows = isinstance(t, np.ndarray)
+    if rows:
+        if t.ndim != 2 or t.shape[1] != 8:
+            raise ValueError(f"psi takes one tuple or an (N, 8) array, not shape {t.shape}")
+        if t.dtype != object:
+            P = (np.maximum(np.abs(t.astype(np.float64)), 1.0) ** _PSI_DEGREE).prod(axis=1)
+            t = t.astype(np.int64 if (P < 2.0**62).all() else object, copy=False)
+    e1, e2, e3, e4, e5, e6, a1, a2 = t.T if rows else t
+    x = (
         e1**2 * e2**2 * e3**3 * e4**2 * e5,
         e1**2 * e2 * e3**2 * e4 * a1,
         e6 * a1 * a2,
@@ -156,14 +188,29 @@ def psi(t: TorsorPoint) -> ProjectivePoint:
         e1 * e2**2 * e3**2 * e4 * a2,
         e2 * e3 * e4 * e5 * e6 * a2,
     )
-    g = 0
-    for c in p:
-        g = gcd(g, c)
+    if not rows:
+        p = ProjectivePoint(*x)
+        _check_image(t, p, gcd(*p), is_on_surface(p))
+        return p
+    p = np.stack(x, axis=1)
+    g = x[0]
+    for c in x[1:]:
+        g = np.gcd(g, c)
+    on = is_on_surface(p)
+    bad = (g != 1) | ~on
+    if bad.any():
+        i = int(bad.argmax())
+        _check_image(TorsorPoint._make(t[i].tolist()), ProjectivePoint._make(p[i].tolist()),
+                     int(g[i]), bool(on[i]))
+    return p
+
+
+def _check_image(t, p: ProjectivePoint, g: int, on_surface: bool) -> None:
+    """Raise for the image p of t if its gcd g is not 1 or it is off the surface."""
     if g != 1:
         raise RuntimeError(f"psi image {tuple(p)} of {t} is imprimitive (gcd {g})")
-    if not is_on_surface(p):
+    if not on_surface:
         raise RuntimeError(f"psi image {tuple(p)} of {t} is not on the surface")
-    return p
 
 
 @dataclass(frozen=True)

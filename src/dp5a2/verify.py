@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from . import counting, density, dirichlet
 from .torsor import EDGES, coprimality_full, coprimality_reduced, psi
 
@@ -25,6 +27,10 @@ __all__ = [
     "check_theta_consistency",
     "run_all",
 ]
+
+
+# The largest B at which check_height_bounds runs in int64 (proved there)
+_HEIGHT_INT64_MAX_B = 6000
 
 
 @dataclass
@@ -98,22 +104,32 @@ def check_height_bounds(B: int = 1000) -> CheckResult:
 
     For every torsor tuple: x1 + x4 = -(e1 e2 e3^2 e4^2 e5^2 e6) and
     x3 + x5 = -(e3 e4^2 e5^3 e6^2) exactly, and both right sides are at
-    most 2B in absolute value.
+    most 2B in absolute value.  One psi call and array comparisons; the
+    detail names the first tuple that fails.
+
+    int64 safety.  A tuple of height <= B has eta_i >= 1,
+    e1^2 e2^2 e3^3 e4^2 e5 = x0 <= B and |e6| <= B (|x3| or |x5| is a
+    nonzero multiple of e6: alpha1 = alpha2 = 0 would break the
+    equation), so |b1| <= B^3 and b2 <= B^5, as are their partial
+    products.  B^5 < 2^63 for B <= _HEIGHT_INT64_MAX_B = 6,000; above it
+    the columns are Python ints.
     """
 
     def run():
-        n = 0
-        for t in counting.torsor_solutions(B):
-            n += 1
-            e1, e2, e3, e4, e5, e6, _, _ = t
-            p = psi(t)
-            b1 = e1 * e2 * e3**2 * e4**2 * e5**2 * e6
-            b2 = e3 * e4**2 * e5**3 * e6**2
-            if p.x1 + p.x4 != -b1 or p.x3 + p.x5 != -b2:
-                return False, f"identity failed at {tuple(t)}"
-            if abs(b1) > 2 * B or b2 > 2 * B:
-                return False, f"bound failed at {tuple(t)}"
-        return True, f"B={B}: {n} solutions satisfy both bounds"
+        rows = counting._torsor_rows(B)
+        if B > _HEIGHT_INT64_MAX_B:
+            rows = rows.astype(object)
+        e1, e2, e3, e4, e5, e6 = rows.T[:6]
+        p = psi(rows)
+        b1 = e1 * e2 * e3**2 * e4**2 * e5**2 * e6
+        b2 = e3 * e4**2 * e5**3 * e6**2
+        identity = (p[:, 1] + p[:, 4] == -b1) & (p[:, 3] + p[:, 5] == -b2)
+        ok = identity & (np.abs(b1) <= 2 * B) & (b2 <= 2 * B)
+        if not ok.all():
+            i = int(ok.argmin())
+            what = "bound" if identity[i] else "identity"
+            return False, f"{what} failed at {tuple(rows[i].tolist())}"
+        return True, f"B={B}: {len(rows)} solutions satisfy both bounds"
 
     return _timed("height-bounds", run)
 

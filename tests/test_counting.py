@@ -71,6 +71,76 @@ def test_bijection():
     assert not r.duplicate_images
 
 
+@pytest.mark.parametrize("fault", ["drop", "duplicate", "foreign", "far"])
+def test_bijection_reports_faulty_images(monkeypatch, fault):
+    from dp5a2 import counting
+    from dp5a2.surface import ProjectivePoint
+    from dp5a2.torsor import TorsorPoint
+    from dp5a2.verify import check_bijection
+
+    real = counting.psi
+    first = ProjectivePoint._make(real(counting._torsor_rows(25))[0].tolist())
+    expected = {
+        "foreign": ProjectivePoint(1, 1, 0, 0, -1, 0),  # on a line of S, so not in U
+        "far": real(TorsorPoint(1, 1, 1, 1, 1, 1, -27, 26)),  # in U, of height 702 > 25
+    }.get(fault, first)
+
+    def faulty(rows):
+        p = real(rows)
+        return p[1:] if fault == "drop" else np.concatenate([p, [expected]])
+
+    monkeypatch.setattr(counting, "psi", faulty)
+    r = verify_bijection(25)
+    group = {"duplicate": 0, "drop": 1}.get(fault, 2)
+    reported = (r.duplicate_images, r.only_naive, r.only_torsor)
+    assert reported == tuple((expected,) if i == group else () for i in range(3))
+    assert not r.equal and r.first_mismatch() == expected
+    res = check_bijection(25)
+    assert not res.passed and res.detail == f"B=25: mismatch at {expected}"
+
+
+def test_solution_counts_frozen():
+    for B, n_eq, n_t in ((100, 6_920, 2_222), (200, 20_036, 5_638), (500, 76_326, 19_024)):
+        assert sum(1 for _ in equation_solutions(B)) == n_eq, B
+        assert sum(1 for _ in torsor_solutions(B)) == n_t, B
+    assert sum(1 for _ in torsor_solutions(1000)) == 45_036
+
+
+def test_enumeration_shares_no_code_with_count(monkeypatch):
+    from dp5a2 import counting
+
+    for name in ("_quads", "_bounds", "_groups", "_iroot", "_divisor_table", "_terms", "_sweep"):
+        monkeypatch.setattr(counting, name, None)
+    assert sum(1 for _ in torsor_solutions(100)) == KNOWN_COUNTS[100]
+
+
+def test_enumeration_refuses_B_outside_its_int64_range():
+    from dp5a2.counting import _SOLUTIONS_MAX_B
+
+    for B in (0, _SOLUTIONS_MAX_B + 1):
+        with pytest.raises(ValueError, match="B must be in"):
+            list(equation_solutions(B))
+
+
+def test_height_bounds_check_names_first_failing_tuple(monkeypatch):
+    from dp5a2 import counting, verify
+
+    rows = counting._torsor_rows(50)
+    real = verify.psi
+
+    def faulty(t):
+        p = real(t).copy()
+        p[[7, 9], 1] += 1
+        return p
+
+    assert verify.check_height_bounds(50).passed
+    monkeypatch.setattr(verify, "_HEIGHT_INT64_MAX_B", 10)  # the Python-int route
+    assert verify.check_height_bounds(50).detail == "B=50: 940 solutions satisfy both bounds"
+    monkeypatch.setattr(verify, "psi", faulty)
+    res = verify.check_height_bounds(50)
+    assert not res.passed and res.detail == f"identity failed at {tuple(rows[7].tolist())}"
+
+
 def test_count_matches_enumeration():
     # the closed-form alpha1 count against plain enumeration of the tuples
     for B in [*range(1, 61), 100, 200, 300, 1000]:

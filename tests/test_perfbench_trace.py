@@ -60,7 +60,7 @@ def test_traced_oracle_layers(op):
     assert layers["surface.brute_force_points.count"] == 50_923  # rows at B = 100
     assert layers["surface.in_U.calls"] == 1
     if op == "bijection_s":
-        assert layers["torsor.psi.calls"] == 2_222  # one psi per point of U
+        assert layers["torsor.psi.calls"] == 1  # one psi call maps every tuple
 
 
 def test_traced_main_term_layers():

@@ -2,6 +2,7 @@ import math
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 
 from dp5a2.counting import equation_solutions_box
@@ -96,6 +97,42 @@ def test_psi_rejects_imprimitive():
     assert t.satisfies_equation()
     with pytest.raises(RuntimeError):
         psi(t)
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [((2, 1, 1, 1, 1, 2, 1, -4), "imprimitive"), ((1, 1, 1, 1, 1, 1, 1, 1), "not on the surface")],
+)
+def test_psi_array_raises_the_scalar_error(bad, why):
+    with pytest.raises(RuntimeError, match=why) as alone:
+        psi(TorsorPoint(*bad))
+    with pytest.raises(RuntimeError) as in_array:
+        psi(np.array([*B1_SOLUTIONS, bad, (2, 1, 1, 1, 1, 2, 1, -4)]))
+    assert str(in_array.value) == str(alone.value)
+
+
+def test_psi_array_matches_scalar():
+    rows = np.array(B1_SOLUTIONS)
+    images = psi(rows)
+    assert images.dtype == np.int64
+    assert images.tolist() == [list(psi(TorsorPoint(*s))) for s in B1_SOLUTIONS]
+    # x3 x5 ~ 2^81 in the surface check (psi itself in int64), and past
+    # int64 in psi itself: both switch to Python ints and stay exact
+    for e, dtype in ((2**20, np.int64), (2**40, object)):
+        rows = np.array([B1_SOLUTIONS[0], (1, 1, 1, 1, 1, e + 1, e + 3, -(2 * e + 4))])
+        images = psi(rows)
+        assert images.dtype == dtype
+        assert images.tolist() == [list(psi(TorsorPoint(*s))) for s in rows.tolist()]
+
+
+def test_coprimality_reduced_array_matches_scalar():
+    from dp5a2.counting import _equation_rows
+
+    rows = _equation_rows(200)
+    mask = coprimality_reduced(rows)
+    assert mask.dtype == bool and mask.sum() == 5_638
+    assert mask.tolist() == [coprimality_reduced(TorsorPoint._make(t)) for t in rows.tolist()]
+    assert coprimality_reduced(rows.astype(object)).tolist() == mask.tolist()
 
 
 def test_coprimality_routes_agree_on_valid_points():
