@@ -43,6 +43,7 @@ equation_solutions and torsor_solutions (the ones that meet the reduced
 conditions) read the rows of one numpy enumeration, _equation_rows, which
 shares no code with count_torsor beyond arith.ragged, so either checks the
 other.  verify_bijection maps those rows by psi in one call.
+equation_solutions_box reads the box enumeration _equation_box_rows.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from multiprocessing import Pool
 from typing import Iterator
 
@@ -753,11 +754,7 @@ def _equation_rows(B: int) -> np.ndarray:
     rhs = e4 * e5 * e5 * e6
     e34 = e3 * e4
     a1max = np.minimum(B // (e1 * e1 * e2 * e3 * e34), B // (e1 * e34 * e5 * np.abs(e6)))
-    # alpha1 = cls (mod m): the candidates lo, lo + m, ..., up to a1max
-    cls = (-(rhs // g) % m) * inv % m
-    lo = -a1max + (cls + a1max) % m
-    q, i = ragged(np.where(rhs % g == 0, (a1max - lo) // m + 1, 0))
-    a1 = lo[q] + m[q] * i
+    q, a1 = _alpha1_class(rhs, g, m, inv, a1max)
     e1, e2, e3, e4, e5, e6, e34 = e1[q], e2[q], e3[q], e4[q], e5[q], e6[q], e34[q]
     a2 = -(rhs[q] + e1 * a1) // e2
     aa2 = np.abs(a2)
@@ -769,31 +766,57 @@ def _equation_rows(B: int) -> np.ndarray:
     return np.stack([e1, e2, e3, e4, e5, e6, a1, a2], axis=1)[keep]
 
 
+def _alpha1_class(rhs, g, m, inv, a1max) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha1 in [-a1max, a1max] with eta2 | rhs + eta1 alpha1, per row.
+
+    g = gcd(eta1, eta2), m = eta2/g and inv = (eta1/g)^-1 mod m (0 where
+    m = 1) are columns; a1max is a column or one int.  A row has such
+    alpha1 only when g | rhs, and then exactly the class
+    ((-rhs/g) mod m) inv mod m, ascending.  Returns (row, alpha1).
+    """
+    cls = (-(rhs // g) % m) * inv % m
+    lo = -a1max + (cls + a1max) % m
+    q, i = ragged(np.where(rhs % g == 0, (a1max - lo) // m + 1, 0))
+    return q, lo[q] + m[q] * i
+
+
 def equation_solutions_box(N: int) -> Iterator[TorsorPoint]:
-    """All torsor-equation solutions with every coordinate in [-N, N]."""
-    for e1 in range(1, N + 1):
-        for e2 in range(1, N + 1):
-            g = gcd(e1, e2)
-            e2red = e2 // g
-            e1inv = pow(e1 // g, -1, e2red) if e2red > 1 else 0
-            for e4 in range(1, N + 1):
-                for e5 in range(1, N + 1):
-                    t45 = e4 * e5 * e5
-                    for e6 in range(-N, N + 1):
-                        if e6 == 0:
-                            continue
-                        rhs = t45 * e6
-                        if rhs % g:
-                            continue
-                        if e2red == 1:
-                            start, step = -N, 1
-                        else:
-                            r = (-(rhs // g) * e1inv) % e2red
-                            start = -N + (r + N) % e2red
-                            step = e2red
-                        for a1 in range(start, N + 1, step):
-                            a2 = -(rhs + e1 * a1) // e2
-                            if abs(a2) > N:
-                                continue
-                            for e3 in range(1, N + 1):
-                                yield TorsorPoint(e1, e2, e3, e4, e5, e6, a1, a2)
+    """All torsor-equation solutions with every coordinate in [-N, N].
+
+    The rows of _equation_box_rows, in its order.
+    """
+    return map(TorsorPoint._make, _equation_box_rows(N).tolist())
+
+
+def _equation_box_rows(N: int) -> np.ndarray:
+    """All torsor-equation solutions with every coordinate in [-N, N], as (M, 8) int64.
+
+    No coprimality is imposed.  The rows (eta1, ..., eta6, alpha1, alpha2)
+    come in the order of the nest eta1, eta2, eta4, eta5, eta6 (from -N
+    up, skipping 0), alpha1, eta3, each ascending; eta3 is innermost, as
+    the equation does not involve it.  alpha1 runs over the class where
+    eta2 | rhs + eta1 alpha1 (rhs = eta4 eta5^2 eta6, _alpha1_class; the
+    inverse comes from pow once per (eta1, eta2)), and a row is kept when
+    alpha2 = -(rhs + eta1 alpha1)/eta2 is in [-N, N].  Every value formed
+    is at most 2N^4 in size.
+    """
+    v = np.arange(1, N + 1)
+    a, b = np.repeat(v, N), np.tile(v, N)  # (eta1, eta2), lexicographic
+    g = np.gcd(a, b)
+    inv = [pow(x, -1, y) if y > 1 else 0 for x, y in zip((a // g).tolist(), (b // g).tolist())]
+    inv = np.array(inv, dtype=np.int64)
+    k, e4, e5, e6 = (
+        c.ravel()
+        for c in np.meshgrid(np.arange(N * N), v, v, np.concatenate([-v[::-1], v]), indexing="ij")
+    )
+    e1, e2, g, inv = a[k], b[k], g[k], inv[k]
+    m = e2 // g
+    rhs = e4 * e5 * e5 * e6
+    q, a1 = _alpha1_class(rhs, g, m, inv, N)
+    a2 = -(rhs[q] + e1[q] * a1) // e2[q]
+    keep = np.abs(a2) <= N
+    q, a1, a2 = q[keep], a1[keep], a2[keep]
+    rows = np.stack([e1[q], e2[q], e1[q], e4[q], e5[q], e6[q], a1, a2], axis=1)
+    rows = np.repeat(rows, N, axis=0)
+    rows[:, 2] = np.tile(v, len(q))
+    return rows

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from .arith import ragged
 
 __all__ = [
     "Line",
@@ -273,59 +275,73 @@ def _form(cols, f: list[tuple[int, int]]):
 def _box_candidates(bound: int) -> np.ndarray:
     """Integer vectors of height <= bound that may lie on S, as (N, 6) int32.
 
-    For x0 >= 1 the quadrics force x3 = -x1(x1+x4)/x0, x5 = -x4(x1+x4)/x0,
-    x2 = x1*x5/x0.  The (x1, x4) grid is sorted once by
-    max(|x1(x1+x4)|, |x4(x1+x4)|); the pairs with |x3|, |x5| <= bound at a
-    given x0 are the prefix where that key is <= bound*x0, and only there
-    are the divisions tested for exactness.  The x0 = 0 slice collapses
-    (over the quadrics x1(x1+x4) = x4(x1+x4) = 0) to x4 = -x1, which splits
-    into the families (0,t,u,0,-t,0) and, for t = 0, (0,0,u,s,0,0) and
-    (0,0,u,0,0,s) with x3*x5 = 0.  Every row is sign-normalized and no
-    vector appears twice; none is yet checked against the remaining
-    quadrics or for primitivity.
+    Write B = bound and s = x1 + x4.  For x0 >= 1 the quadrics force
+    x3 = -x1 s/x0, x5 = -x4 s/x0 and x2 = x1 x5/x0, so (x0, x1, x4) fixes
+    the vector.  x0 | x1 s and x0 | x4 s give x0 | s^2 = (x1 + x4) s, that
+    is r(x0) | s, where r(x0) = x0/k and k^2 is the largest square dividing
+    x0; and |x3 + x5| = s^2/x0 <= 2B gives s^2 <= 2B x0.  For each such
+    (x0, s != 0), x0 | x1 s says x1 is a multiple of x0/gcd(x0, s), and
+    |x3|, |x5| <= B with |x1|, |x4| <= B say |x1|, |s - x1| <= L =
+    min(B, B x0/|s|): one interval.  x3 and x5 are then exact by
+    construction; x2 is tested for exactness and |x2| <= B.  All of this
+    is one ragged numpy enumeration, with no loop over x0.
+
+    The rest are the four line families, explicit blocks: s = 0 gives
+    (x0, t, 0, 0, -t, 0); the x0 = 0 slice collapses (over the quadrics
+    x1 s = x4 s = 0) to x4 = -x1, which splits into (0, t, u, 0, -t, 0)
+    and, for t = 0, (0, 0, u, v, 0, 0) and (0, 0, u, 0, 0, v) with
+    x3 x5 = 0.  Every row is sign-normalized and no vector appears twice;
+    none is yet checked against the remaining quadrics or for
+    primitivity.
+
+    Exactness.  |s| <= sqrt(2B x0) + 1 and |x1|, |x4|, |x5| <= B, so every
+    product formed here (B x0, s^2, x1 s, x4 s, x1 x5) is at most 4B^2 in
+    size, and each quadric of the filter in brute_force_points, a sum of
+    at most three products of two coordinates, at most 3B^2: 10^6 at
+    B = BRUTE_FORCE_MAX, far inside int64, where the enumeration runs, and
+    int32, in which the rows are stored and filtered.
+
+    The cap BRUTE_FORCE_MAX = 500 stays because the line families are
+    4B(2B + 1) rows, about 2 M at B = 500 against a few ten thousand from
+    the divisor enumeration; they dominate both the time and the memory
+    of brute_force_points, and grow as B^2.
     """
-    # every product below is at most 2 * BRUTE_FORCE_MAX^2 in size: int32 is exact
-    rng = np.arange(-bound, bound + 1, dtype=np.int32)
-    x1 = np.repeat(rng, rng.size)
-    x4 = np.tile(rng, rng.size)
-    n3 = x1 * (x1 + x4)
-    n5 = x4 * (x1 + x4)
-    key = np.maximum(np.abs(n3), np.abs(n5))
-    order = np.argsort(key, kind="stable")
-    key, x1, x4, n3, n5 = key[order], x1[order], x4[order], n3[order], n5[order]
+    B = bound
+    x0 = np.arange(1, B + 1)
+    k = np.arange(1, isqrt(B) + 1)
+    r = x0 // np.where(x0[:, None] % (k * k) == 0, k, 0).max(axis=1)
+    # (x0, s) with s = r(x0) j > 0 and s^2 <= 2B x0; the float root is
+    # only a cap, the exact test follows
+    cap = (np.sqrt(2 * B * x0) + 1).astype(np.int64) // r
+    own, j = ragged(cap)
+    x0, s = x0[own], r[own] * (j + 1)
+    keep = s * s <= 2 * B * x0
+    x0, s = np.tile(x0[keep], 2), np.concatenate([s[keep], -s[keep]])
+    # x1 = d i in [max(-L, s - L), min(L, s + L)], d = x0/gcd(x0, s)
+    d = x0 // np.gcd(x0, s)
+    L = np.minimum(B, B * x0 // np.abs(s))
+    first = -(-np.maximum(-L, s - L) // d)
+    own, i = ragged(np.maximum(np.minimum(L, s + L) // d - first + 1, 0))
+    x0, s, x1 = x0[own], s[own], d[own] * (first[own] + i)
+    x4 = s - x1
+    x3, x5 = -(x1 * s) // x0, -(x4 * s) // x0
+    n2 = x1 * x5
+    x2 = n2 // x0
+    ok = (x2 * x0 == n2) & (np.abs(x2) <= B)
+    blocks = [np.stack([x0, x1, x2, x3, x4, x5], axis=1)[ok].astype(np.int32)]
 
-    # x0 >= 1 (sign-normalized since the leading coordinate is positive);
-    # q * x0 == n tests x0 | n, much faster than n % x0 == 0 in numpy
-    blocks = []
-    for x0 in range(1, bound + 1):
-        k = np.searchsorted(key, bound * x0, side="right")
-        q3 = n3[:k] // x0
-        i = np.flatnonzero(q3 * x0 == n3[:k])
-        q5 = n5[i] // x0
-        ok = q5 * x0 == n5[i]
-        i, x3, x5 = i[ok], -q3[i[ok]], -q5[ok]
-        n2 = x1[i] * x5
-        x2 = n2 // x0
-        ok = (x2 * x0 == n2) & (np.abs(x2) <= bound)
-        i = i[ok]
-        block = np.empty((i.size, 6), dtype=np.int32)
-        block[:, 0] = x0
-        block[:, 1] = x1[i]
-        block[:, 2] = x2[ok]
-        block[:, 3] = x3[ok]
-        block[:, 4] = x4[i]
-        block[:, 5] = x5[ok]
-        blocks.append(block)
-
-    # x0 = 0, t >= 1:  (0, t, u, 0, -t, 0), (0, 0, t, u, 0, 0), (0, 0, t, 0, 0, u)
-    t = np.repeat(np.arange(1, bound + 1, dtype=np.int32), rng.size)
-    u = np.tile(rng, bound)
-    fam = np.zeros((3, t.size, 6), dtype=np.int32)
-    fam[0, :, 1], fam[0, :, 2], fam[0, :, 4] = t, u, -t
-    fam[1, :, 2], fam[1, :, 3] = t, u
-    fam[2, :, 2], fam[2, :, 5] = t, u
-    blocks.append(fam[:2].reshape(-1, 6))
-    blocks.append(fam[2][u != 0])  # at u = 0 it repeats (0, 0, t, 0, 0, 0)
+    # t >= 1:  (t, u, 0, 0, -u, 0), (0, t, u, 0, -t, 0), (0, 0, t, u, 0, 0),
+    # (0, 0, t, 0, 0, u)
+    rng = np.arange(-B, B + 1, dtype=np.int32)
+    t = np.repeat(np.arange(1, B + 1, dtype=np.int32), rng.size)
+    u = np.tile(rng, B)
+    fam = np.zeros((4, t.size, 6), dtype=np.int32)
+    fam[0, :, 0], fam[0, :, 1], fam[0, :, 4] = t, u, -u
+    fam[1, :, 1], fam[1, :, 2], fam[1, :, 4] = t, u, -t
+    fam[2, :, 2], fam[2, :, 3] = t, u
+    fam[3, :, 2], fam[3, :, 5] = t, u
+    blocks.append(fam[:3].reshape(-1, 6))
+    blocks.append(fam[3][u != 0])  # at u = 0 it repeats (0, 0, t, 0, 0, 0)
     blocks.append(np.array([(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)], dtype=np.int32))
     return np.concatenate(blocks)
 

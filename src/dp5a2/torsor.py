@@ -114,13 +114,18 @@ class TorsorPoint(_TorsorFields):
         return self.eta4 * self.eta5**2 * self.eta6 + self.eta1 * self.alpha1 + self.eta2 * self.alpha2 == 0
 
 
-def coprimality_full(t: TorsorPoint, edges: frozenset[frozenset[str]] = EDGES) -> bool:
+def coprimality_full(t, edges: frozenset[frozenset[str]] = EDGES):
     """Graph conditions: every non-adjacent coordinate pair is coprime.
 
-    edges is the graph's edge set; fault injection (the CLI's --drop-edge
-    and the tests) passes a pruned one.
+    t is one tuple (returns a bool) or an (N, 8) integer array of tuples
+    (returns a boolean mask).  edges is the graph's edge set; fault
+    injection (the CLI's --drop-edge and the tests) passes a pruned one.
     """
-    return all(gcd(t[i], t[j]) == 1 for i, j in _required_index_pairs(edges))
+    pairs = _required_index_pairs(edges)
+    if isinstance(t, np.ndarray):
+        cols = t.T
+        return np.logical_and.reduce([np.gcd(cols[i], cols[j]) == 1 for i, j in pairs])
+    return all(gcd(t[i], t[j]) == 1 for i, j in pairs)
 
 
 def coprimality_reduced(t):

@@ -78,22 +78,23 @@ def check_coprimality_equiv(
 
     Runs over every torsor-equation solution of image height <= the
     height bound, and every solution with all coordinates in the box.
+    Each scan is one (N, 8) array on which the two conditions are compared
+    as masks; the detail names the first mismatch in the scan's order.
     The edges parameter exists for fault injection: dropping an edge
     must make this check fail.
     """
 
     def run():
         sizes = []
-        for scan, solutions in (
-            ("height", counting.equation_solutions(height_bound)),
-            ("box", counting.equation_solutions_box(box_bound)),
+        for scan, build, bound in (
+            ("height", counting._equation_rows, height_bound),
+            ("box", counting._equation_box_rows, box_bound),
         ):
-            n = 0
-            for t in solutions:
-                n += 1
-                if coprimality_full(t, edges) != coprimality_reduced(t):
-                    return False, f"mismatch at {tuple(t)} ({scan} scan)"
-            sizes.append(n)
+            rows = build(bound)
+            bad = coprimality_full(rows, edges) != coprimality_reduced(rows)
+            if bad.any():
+                return False, f"mismatch at {tuple(rows[bad.argmax()].tolist())} ({scan} scan)"
+            sizes.append(len(rows))
         return True, f"{sizes[0]} height-bounded and {sizes[1]} box solutions agree"
 
     return _timed("coprimality-equivalence", run)

@@ -492,6 +492,9 @@ def test_equation_solutions_superset_of_torsor_scan():
 def test_equation_solutions_box():
     sols = list(equation_solutions_box(3))
     assert all(t.satisfies_equation() for t in sols)
+    # in the order of the nest eta1, eta2, eta4, eta5, eta6, alpha1, eta3
+    keys = [(t.eta1, t.eta2, t.eta4, t.eta5, t.eta6, t.alpha1, t.eta3) for t in sols]
+    assert keys == sorted(keys)
     for t in sols:
         assert all(1 <= v <= 3 for v in t.eta + (t.eta5,))
         assert 1 <= abs(t.eta6) <= 3 and abs(t.alpha1) <= 3 and abs(t.alpha2) <= 3

@@ -82,6 +82,34 @@ def test_brute_force_matches_direct_enumeration():
     assert len(rows) == len(expected)
 
 
+def test_brute_force_matches_full_box_array():
+    """All 9^6 integer vectors of the box at bound 4 as one array, no solving shortcuts."""
+    bound = 4
+    rng = np.arange(-bound, bound + 1)
+    box = np.stack([c.ravel() for c in np.meshgrid(*[rng] * 6, indexing="ij")], axis=1)
+    assert len(box) == 9**6
+    on = np.logical_and.reduce([q == 0 for q in quadric_values(box.T)])
+    primitive = np.gcd.reduce(box, axis=1) == 1  # the zero vector has gcd 0
+    leading = box[np.arange(len(box)), (box != 0).argmax(axis=1)]
+    expected = box[on & primitive & (leading > 0)]
+    rows = brute_force_points(bound)
+    assert len(rows) == len(expected)
+    assert set(map(tuple, rows.tolist())) == set(map(tuple, expected.tolist()))
+
+
+# rows of brute_force_points(B), frozen from the sorted-grid box search that
+# the divisor enumeration replaced (the two returned the same row sets for
+# every B in 1..500)
+BRUTE_FORCE_ROWS = {
+    1: 17, 2: 39, 5: 181, 10: 601, 25: 3531, 50: 13321, 100: 50923, 200: 201347, 300: 448157,
+}
+
+
+@pytest.mark.parametrize("bound", sorted(BRUTE_FORCE_ROWS))
+def test_brute_force_row_counts_frozen(bound):
+    assert len(brute_force_points(bound)) == BRUTE_FORCE_ROWS[bound]
+
+
 def test_lines_fixture_matches_search():
     assert find_lines(5) == LINES
     assert len(LINES) == 4

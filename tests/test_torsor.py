@@ -170,12 +170,12 @@ def _graph_coprime_by_name(t, edges):
 )
 def test_coprimality_full_matches_name_lookup(dropped):
     edges = EDGES if dropped is None else EDGES - {dropped}
-    verdicts = [
-        (coprimality_full(t, edges), _graph_coprime_by_name(t, edges))
-        for t in equation_solutions_box(3)
-    ]
+    sols = list(equation_solutions_box(3))
+    verdicts = [(coprimality_full(t, edges), _graph_coprime_by_name(t, edges)) for t in sols]
     assert all(by_index == by_name for by_index, by_name in verdicts)
     assert {v for v, _ in verdicts} == {True, False}
+    mask = coprimality_full(np.array(sols), edges)
+    assert mask.dtype == bool and mask.tolist() == [v for v, _ in verdicts]
 
 
 # first mismatch of check_coprimality_equiv(30, 5) with one edge dropped
