@@ -315,7 +315,7 @@ def _to_config(ns: argparse.Namespace) -> RunConfig:
         if runs_naive and B > counting.NAIVE_MAX_B:
             raise UsageError(f"naive enumeration refused for B > {counting.NAIVE_MAX_B}")
         if B > counting.TORSOR_MAX_B:
-            raise UsageError(f"torsor count refused for B > 2^61 = {counting.TORSOR_MAX_B}")
+            raise UsageError(f"torsor count refused for B > {counting.TORSOR_MAX_B}")
         if cfg.split and cfg.method != "naive" and B < 3:
             raise UsageError("--split needs B >= 3 (log B > 1)")
     if not math.isfinite(cfg.A):

@@ -35,9 +35,9 @@ divisors come from a smallest-prime-factor table built per call
 about _UNIT_ROWS = 2^18 eta6 x term rows (_units), the parallel work
 units; each slice builds its groups and terms and runs one numpy kernel
 (_sweep), which expands them to (group, eta6) pairs and then to
-(pair, term) rows and reduces the counts with masks.  The kernel runs in
-int64 up to B = _INT64_MAX_B = 2*10^9, the bound its docstring proves,
-and on arrays of Python ints (dtype object) above it.
+(pair, term) rows and reduces the counts with masks.  Everything runs in
+int64 up to B = TORSOR_MAX_B = 2*10^9, the bound _sweep's docstring
+proves; larger B is refused.
 
 equation_solutions and torsor_solutions (the ones that meet the reduced
 conditions) read the rows of one numpy enumeration, _equation_rows, which
@@ -77,12 +77,9 @@ __all__ = [
 
 NAIVE_MAX_B = BRUTE_FORCE_MAX
 
-# The largest B at which the torsor tables, built in int64, cannot
+# The largest B at which the torsor engine's int64 arithmetic cannot
 # overflow (proved in _sweep); count_torsor refuses larger B.
-TORSOR_MAX_B = 1 << 61
-# The largest B at which the sweep's int64 arithmetic cannot overflow
-# (proved in _sweep); above it the sweep runs on Python ints.
-_INT64_MAX_B = 2 * 10**9
+TORSOR_MAX_B = 2 * 10**9
 # eta6 x Moebius-term rows per work unit (one _sweep call)
 _UNIT_ROWS = 1 << 18
 # The largest B at which _equation_rows cannot overflow int64 (proved there)
@@ -97,7 +94,6 @@ class CountResult:
     na: int | None = None
     nb1: int | None = None
     nb2: int | None = None
-    points: frozenset[ProjectivePoint] | None = None  # naive point set
     seconds: float = 0.0
 
 
@@ -109,19 +105,12 @@ class CountResult:
 def count_naive(B: int) -> CountResult:
     """Count U-points of height <= B by brute force over the quadrics.
 
-    The U points are the rows of _naive_rows(B); ProjectivePoints are
-    built for them only.  brute_force_points refuses B outside
-    1..NAIVE_MAX_B with ValueError.
+    The count is the number of rows of _naive_rows(B).  brute_force_points
+    refuses B outside 1..NAIVE_MAX_B with ValueError.
     """
     t0 = time.perf_counter()
-    upts = frozenset(map(ProjectivePoint._make, _naive_rows(B).tolist()))
-    return CountResult(
-        B=B,
-        method="naive",
-        count=len(upts),
-        points=upts,
-        seconds=time.perf_counter() - t0,
-    )
+    n = len(_naive_rows(B))
+    return CountResult(B=B, method="naive", count=n, seconds=time.perf_counter() - t0)
 
 
 def _naive_rows(B: int) -> np.ndarray:
@@ -146,11 +135,6 @@ def _naive_rows(B: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_dtype(B: int):
-    """int64 up to _INT64_MAX_B (the bound proved in _sweep), else object."""
-    return np.int64 if B <= _INT64_MAX_B else object
-
-
 def _iroot(x: np.ndarray, k: int) -> np.ndarray:
     """floor(x^(1/k)) for k = 2 or 3 and int64 x >= 0 with (x^(1/k) + 2)^k < 2^63.
 
@@ -163,9 +147,6 @@ def _iroot(x: np.ndarray, k: int) -> np.ndarray:
     s -= s**k > x
     s += (s + 1) ** k <= x
     return s
-
-
-_isqrt_object = np.frompyfunc(isqrt, 1, 1)
 
 
 def _divisor_table(n: int) -> tuple[np.ndarray, ...]:
@@ -374,9 +355,9 @@ def _sweep(B: int, cols: tuple, terms: np.ndarray, nterms: np.ndarray) -> tuple[
     and k > 0, which hold because no multiple of k lies strictly between
     two consecutive integers.
 
-    int64 safety.  Every tuple here has base eta5 <= B with
-    base = eta1^2 eta2^2 eta3^3 eta4^2, so eta1 eta2 <= sqrt(B) and
-    eta2 eta3 eta4 eta5 <= B; eta6 <= e6max gives
+    int64 safety, for B <= TORSOR_MAX_B = 2 10^9.  Every tuple here has
+    base eta5 <= B with base = eta1^2 eta2^2 eta3^3 eta4^2, so
+    eta1 eta2 <= sqrt(B) and eta2 eta3 eta4 eta5 <= B; eta6 <= e6max gives
     eta1 eta2 eta3^2 eta4^2 eta5^2 eta6 <= 2B and eta3 eta4^2 eta5^3 eta6^2
     <= 2B.  Hence
       * k3 eta6, k5 eta6 and rhs = eta4 eta5^2 eta6 are at most 2B;
@@ -388,27 +369,20 @@ def _sweep(B: int, cols: tuple, terms: np.ndarray, nterms: np.ndarray) -> tuple[
         eta2 rad(eta3 eta4 eta5), so h, K, w < L <= B;
       * rhs/h is reduced mod K before the product with w (< K^2 <= B^2),
         and the class h y is below L.
-    2B^2 + 4B^(3/2) < 2^63 for B <= _INT64_MAX_B = 2 10^9 (8.0004e18
-    there), and so is (isqrt + 2)^2 in _iroot.  Above it the caller passes
-    object arrays of Python ints and this same code runs exactly; only the
-    isqrt helper differs.
-
-    The tables themselves are built in int64 for every B <= TORSOR_MAX_B
-    = 2^61, where 2B <= 2^62.  Their operands are
+    2B^2 + 4B^(3/2) is at most 8.0004e18 < 2^63 there, and so is
+    (isqrt + 2)^2 in _iroot.  The operands of the tables stay smaller:
       * the roots of _quads, _bounds and _groups, of x <= 2B, whose
-        correction steps in _iroot square or cube at most 2^31 + 2 or
-        1.7 10^6 (below 4.7e18);
+        correction steps in _iroot square or cube at most 63,247 or 1,589;
       * base, c1, c2, e1234 <= B, and c1 eta5^2, c2 eta5^3 <= 2B by the
         choice of eta5max; t45 <= c1 eta5^2, and k3, k5 <= base eta5 <= B;
       * d1 <= eta3 eta4, m, K, w, L <= B as above, and eta1 d' <=
         eta1 eta3 eta4 <= B, the argument of _inverse, whose extended-Euclid
         remainders stay <= m' and coefficients <= 2m'.
     """
-    isqrt_ = (lambda x: _iroot(x, 2)) if cols[0].dtype == np.int64 else _isqrt_object
     e6max, e5, t45, k3, k5, a1cap, a2cap, e1, e2, e1234, b1 = cols
     # (group, eta6) pairs, 1 <= eta6 <= e6max, coprime to eta1 eta2 eta3 eta4
-    g, e6 = ragged(e6max.astype(np.int64))
-    e6 = (e6 + 1).astype(e6max.dtype, copy=False)
+    g, e6 = ragged(e6max)
+    e6 += 1
     keep = np.gcd(e6, e1234[g]) == 1
     g, e6 = g[keep], e6[keep]
     f = e1[g]
@@ -422,7 +396,7 @@ def _sweep(B: int, cols: tuple, terms: np.ndarray, nterms: np.ndarray) -> tuple[
     # q <= C is [ceil r-, floor r+] for the roots r- < r+ of q - C (C4 = 4 e1 C)
     C4 = 4 * f * e2[g] * (B // e6)
     rr = rhs * rhs
-    s = isqrt_(rr + C4)
+    s = _iroot(rr + C4, 2)
     f2 = 2 * f
     lo = np.maximum(lo, -((rhs + s) // f2))
     hi = np.minimum(hi, (s - rhs) // f2)
@@ -432,7 +406,7 @@ def _sweep(B: int, cols: tuple, terms: np.ndarray, nterms: np.ndarray) -> tuple[
     # (there when D > 0): keep [lo, hi1] = [lo, floor r1] and [lo2, hi] =
     # [ceil r2, hi], each clipped to [lo, hi]
     D = rr[keep] - C4[keep]
-    s = isqrt_(np.maximum(D, 0))
+    s = _iroot(np.maximum(D, 0), 2)
     s += s * s < D
     v = (-rhs - s) // f2
     gap = (D > 0) & (v < hi)
@@ -453,21 +427,14 @@ def _sweep(B: int, cols: tuple, terms: np.ndarray, nterms: np.ndarray) -> tuple[
     c[j] -= (lo2[pj] - 1 - xj) // Lj - (hi1[pj] - xj) // Lj
     c *= mu * (rp % h == 0)
     a = (e5[g] >= e6)[p]
-    in_b1 = b1.astype(bool)[g][p] & ~a
+    in_b1 = b1[g][p] & ~a
     return int(c.sum()), int(c[a].sum()), int(c[in_b1].sum())
 
 
 def _count_unit(B: int, cap: int, quads: tuple, table: tuple) -> tuple[int, int, int]:
-    """(n, n_a, n_b1) of _sweep over all groups of a slice of the quadruples.
-
-    The tables are built in int64 and cast to _kernel_dtype(B) for the sweep.
-    """
+    """(n, n_a, n_b1) of _sweep over all groups of a slice of the quadruples."""
     _, cols, sets, nterms = _groups(quads, B, cap, table)
-    terms = _terms(cols, sets, nterms, table)
-    if _kernel_dtype(B) is object:
-        cols = tuple(col.astype(object) for col in cols)
-        terms = terms.astype(object)
-    return _sweep(B, cols, terms, nterms)
+    return _sweep(B, cols, _terms(cols, sets, nterms, table), nterms)
 
 
 # The divisor table in a pool process: the initializer hands it over once
@@ -496,23 +463,19 @@ def _cuts(w: np.ndarray, size: int) -> list[tuple[int, int]]:
     return list(zip(b[:-1], b[1:]))
 
 
-def _units(quads: tuple, B: int, table: tuple, procs: int) -> list[tuple[int, int]]:
+def _units(quads: tuple, B: int, table: tuple) -> list[tuple[int, int]]:
     """The work units: contiguous slices of the quadruple table.
 
     The weight of a quadruple is its eta6 x term rows, the sum of
     e6max * nterms over its groups; the groups are built for that in
-    chunks of about _UNIT_ROWS, so memory stays bounded.  A unit holds at
-    most _UNIT_ROWS rows, or total / (4 procs) when that is smaller so the
-    units spread over the processes, plus the rows of its last quadruple.
+    chunks of about _UNIT_ROWS, so memory stays bounded.  A unit holds
+    less than _UNIT_ROWS rows plus the rows of its last quadruple.
     """
     rows = np.zeros(len(quads[0]), np.int64)
     for lo, hi in _cuts(_bounds(quads, B)[3], _UNIT_ROWS):
         q, cols, _, nterms = _groups(tuple(c[lo:hi] for c in quads), B, 0, table)
         rows[lo:hi] = np.bincount(q, cols[0] * nterms, hi - lo)
-    budget = _UNIT_ROWS
-    if procs > 1:
-        budget = min(budget, -(-int(rows.sum()) // (4 * procs)))
-    return _cuts(rows, budget)
+    return _cuts(rows, _UNIT_ROWS)
 
 
 def count_torsor(B: int, *, workers: int = 1, A: float | None = None) -> CountResult:
@@ -523,13 +486,12 @@ def count_torsor(B: int, *, workers: int = 1, A: float | None = None) -> CountRe
     its group and term tables and runs one numpy sweep, so memory stays
     bounded.  The pool has min(workers, number of slices, os.cpu_count())
     processes, so a large workers value never starts more processes than
-    there are CPUs; with one, the slices run in this process.  With more,
-    the slices are made smaller so that each process gets several, and
-    the results are reduced in slice order: the counts are independent of
-    the worker count.  The sweep's arrays are int64 up to B = 2*10^9,
-    where that is proved not to overflow, and Python ints above it; all
-    counts are Python ints.  B above TORSOR_MAX_B = 2^61, where the int64
-    tables would overflow, raises ValueError.
+    there are CPUs or slices; with one, as for a count that fits one
+    slice, the slices run in this process.  The slices do not depend on
+    the worker count and their results are reduced in slice order, so
+    neither do the counts, which are Python ints.  The arrays are int64,
+    proved not to overflow up to TORSOR_MAX_B = 2*10^9; larger B raises
+    ValueError before any table is built.
 
     With A set (B >= 3), each solution is also classed as N_a if
     eta5 >= |eta6|, else N_b1 if eta1^2 eta2^2 eta3^3 eta4^2 <= B/(log B)^A,
@@ -538,7 +500,7 @@ def count_torsor(B: int, *, workers: int = 1, A: float | None = None) -> CountRe
     if B < 1:
         raise ValueError("B must be >= 1")
     if B > TORSOR_MAX_B:
-        raise ValueError(f"B must be <= TORSOR_MAX_B = 2^61, got {B}")
+        raise ValueError(f"B must be <= TORSOR_MAX_B = {TORSOR_MAX_B}, got {B}")
     if A is not None and B < 3:
         raise ValueError("split classification needs B >= 3 (log B > 1)")
     if A is not None and not math.isfinite(A):
@@ -557,9 +519,8 @@ def count_torsor(B: int, *, workers: int = 1, A: float | None = None) -> CountRe
         cap = B if thr >= B else math.floor(thr)  # base <= thr iff base <= cap
     table = _divisor_table(isqrt(2 * B))
     quads = _quads(B)
-    procs = min(workers, os.cpu_count() or 1)
-    jobs = [(B, cap, tuple(c[lo:hi] for c in quads)) for lo, hi in _units(quads, B, table, procs)]
-    procs = min(procs, len(jobs))
+    jobs = [(B, cap, tuple(c[lo:hi] for c in quads)) for lo, hi in _units(quads, B, table)]
+    procs = min(workers, os.cpu_count() or 1, len(jobs))
     if procs > 1:
         with Pool(procs, _init_worker, (table,)) as pool:
             parts = pool.map(_unit_worker, jobs, chunksize=1)

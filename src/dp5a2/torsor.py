@@ -44,7 +44,6 @@ __all__ = [
     "VERTICES",
     "coprimality_full",
     "coprimality_reduced",
-    "height_forms",
     "psi",
     "required_coprime_pairs",
     "scaling_context",
@@ -237,13 +236,6 @@ class ScalingContext:
     y5: float
     y6: float
 
-    def identity_residual(self) -> float:
-        """Relative error of y1*y5*y6 / (eta2*y0^2) against B/(eta1..eta4)."""
-        e1, e2, e3, e4 = self.eta
-        lhs = self.y1 * self.y5 * self.y6 / (e2 * self.y0**2)
-        rhs = self.B / (e1 * e2 * e3 * e4)
-        return abs(lhs - rhs) / rhs
-
 
 def scaling_context(eta: tuple[int, int, int, int], B: float) -> ScalingContext:
     e1, e2, e3, e4 = eta
@@ -254,19 +246,3 @@ def scaling_context(eta: tuple[int, int, int, int], B: float) -> ScalingContext:
     y6 = (B * e1**3 * e2**3 * e3**2 / e4**2) ** 0.2
     return ScalingContext(B=B, eta=eta, y0=y0, y1=y1, y5=1.0 / y0, y6=y6)
 
-
-def height_forms(t: TorsorPoint, B: int) -> tuple[bool, bool]:
-    """(exact, floating) evaluations of the height condition H(psi(t)) <= B.
-
-    Exact: integer comparison max|psi_i| <= B.  Floating: the scaled form
-    h(y0, alpha1/y1, eta5/y5, eta6/y6) <= 1.  They agree away from the
-    boundary; only the exact form is authoritative.
-    """
-    from .density import h_max  # deferred: density imports this module
-
-    exact = max(abs(c) for c in psi(t)) <= B
-    ctx = scaling_context(t.eta, B)
-    floating = (
-        h_max(ctx.y0, t.alpha1 / ctx.y1, t.eta5 / ctx.y5, t.eta6 / ctx.y6) <= 1.0
-    )
-    return exact, floating

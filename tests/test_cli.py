@@ -242,11 +242,17 @@ def test_verify_unknown_edge(capsys):
         ("constant", "--tol", "nan"),
         ("count", "--B", ","),
         ("predict", "--B", ","),
-        ("count", "--B", str(2**61 + 1)),
-        ("predict", "--B", str(2**61 + 1)),
+        ("count", "--B", "2000000001"),
+        ("predict", "--B", "2000000001"),
     ],
 )
-def test_bad_input_exits_2(capsys, argv):
+def test_bad_input_exits_2(capsys, monkeypatch, argv):
+    from dp5a2 import counting
+
+    def refused(*args, **kwargs):
+        raise AssertionError("count_torsor ran for input that must be refused")
+
+    monkeypatch.setattr(counting, "count_torsor", refused)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")

@@ -20,9 +20,10 @@ KNOWN_COUNTS = {1: 4, 2: 10, 5: 24, 10: 92, 25: 334, 50: 940, 100: 2222, 200: 56
 
 
 def test_n_of_1_points():
-    r = count_naive(1)
-    assert r.count == 4
-    assert sorted(tuple(p) for p in r.points) == [
+    from dp5a2 import counting
+
+    assert count_naive(1).count == 4
+    assert sorted(map(tuple, counting._naive_rows(1).tolist())) == [
         (1, -1, 0, -1, 0, 0),
         (1, 0, 0, 0, -1, -1),
         (1, 0, 0, 0, 1, -1),
@@ -190,7 +191,7 @@ def test_worker_count_does_not_change_result(monkeypatch):
     B = 10**4
     quads = counting._quads(B)
     table = counting._divisor_table(math.isqrt(2 * B))
-    assert len(counting._units(quads, B, table, 1)) > 100
+    assert len(counting._units(quads, B, table)) > 100
     for workers in (1, 2, 3):
         r = count_torsor(B, workers=workers, A=1.0)
         assert (r.count, r.na, r.nb1, r.nb2) == parts, workers
@@ -204,30 +205,26 @@ def test_units_are_contiguous_and_within_budget(monkeypatch):
     table = counting._divisor_table(math.isqrt(2 * B))
     _, cols, _, nterms = counting._groups(quads, B, 0, table)
     total = int((cols[0] * nterms).sum())
-    for budget, procs in ((1 << 18, 1), (1 << 18, 2), (4096, 1), (4096, 3), (1, 1)):
+    for budget in (1 << 18, 4096, 1):
         monkeypatch.setattr(counting, "_UNIT_ROWS", budget)
-        units = counting._units(quads, B, table, procs)
+        units = counting._units(quads, B, table)
         assert units[0][0] == 0 and units[-1][1] == len(quads[0])
         assert all(hi == lo2 and lo < hi for (lo, hi), (lo2, _) in zip(units, units[1:]))
-        cap = budget if procs == 1 else min(budget, -(-total // (4 * procs)))
         seen = 0
         for lo, hi in units:
             q, cols, _, nterms = counting._groups(tuple(c[lo:hi] for c in quads), B, 0, table)
             rows = np.bincount(q, cols[0] * nterms).astype(np.int64)
-            assert rows.sum() - rows[-1] < cap, (budget, procs, lo, hi)
+            assert rows.sum() - rows[-1] < budget, (budget, lo, hi)
             seen += int(rows.sum())
         assert seen == total
 
 
-def test_pool_capped_at_cpu_count(monkeypatch):
+def _recording_pool(monkeypatch, sizes, njobs):
+    """Replace counting.Pool by one that records the pool size asked for and
+    the number of jobs, and runs the jobs here; it starts no process."""
     from dp5a2 import counting
 
-    sizes = []
-    njobs = []
-
     class RecordingPool:
-        """Records the pool size asked for and runs the jobs here; starts nothing."""
-
         def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
             initializer(*initargs)
@@ -244,12 +241,24 @@ def test_pool_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(counting, "Pool", RecordingPool)
     monkeypatch.setattr(counting, "_worker_table", None)
+
+
+def test_pool_capped_at_cpu_count(monkeypatch):
+    from dp5a2 import counting
+
+    sizes = []
+    njobs = []
+    _recording_pool(monkeypatch, sizes, njobs)
+    # a row budget small enough that B = 10^4 spans several units
+    monkeypatch.setattr(counting, "_UNIT_ROWS", 4096)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     assert count_torsor(10**4, workers=10_000).count == 810_704
     assert sizes == [2]
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
     assert count_torsor(10**4, workers=3).count == 810_704
+    monkeypatch.setattr(counting, "_UNIT_ROWS", 1)  # a unit per quadruple that has rows
     assert count_torsor(5, workers=10_000).count == KNOWN_COUNTS[5]  # 4 quadruples
+    monkeypatch.setattr(counting, "_UNIT_ROWS", 4096)
     assert sizes == [2, 3, 4] and njobs[2] == 4
     assert all(s <= n for s, n in zip(sizes, njobs))  # never more processes than units
     # one CPU, a count os.cpu_count() cannot tell, or one work unit: no pool at all
@@ -258,6 +267,16 @@ def test_pool_capped_at_cpu_count(monkeypatch):
         monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
         assert count_torsor(10**4, workers=10_000).count == 810_704
     assert sizes == [2, 3, 4]
+
+
+def test_one_unit_count_starts_no_pool(monkeypatch):
+    from dp5a2 import counting
+
+    sizes = []
+    _recording_pool(monkeypatch, sizes, [])
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
+    assert count_torsor(10**4, workers=2).count == 810_704
+    assert sizes == []  # B = 10^4 fits one work unit
 
 
 def test_split_counts_frozen():
@@ -285,27 +304,6 @@ def test_counts_are_python_ints(capsys):
     assert row["count"] == row["na"] + row["nb1"] + row["nb2"] == 810_704
 
 
-def test_kernel_int64_and_object_routes_agree(monkeypatch):
-    from dp5a2 import counting
-
-    monkeypatch.setattr(counting, "_UNIT_ROWS", 64)  # several units per B
-    cases = []
-    for B in (1, 2, 7, 30, 100, 300, 1000):
-        quads = counting._quads(B)
-        table = counting._divisor_table(math.isqrt(2 * B))
-        for cap in {0, math.floor(B / math.log(B)) if B >= 3 else 0}:
-            for lo, hi in counting._units(quads, B, table, 1):
-                cases.append((B, cap, tuple(c[lo:hi] for c in quads), table))
-    fast = [counting._count_unit(*case) for case in cases]
-    # with the bound at 0 every B takes the Python-int (object) route
-    monkeypatch.setattr(counting, "_INT64_MAX_B", 0)
-    assert counting._kernel_dtype(1) is object
-    exact = [counting._count_unit(*case) for case in cases]
-    for case, f, e in zip(cases, fast, exact):
-        assert f == e, case[:2]
-        assert all(type(v) is int for v in f + e)
-
-
 def _icbrt(x):
     r = round(x ** (1 / 3))
     while r**3 > x:
@@ -315,12 +313,10 @@ def _icbrt(x):
     return r
 
 
-def test_kernel_dtype_switch_at_proved_bound():
-    from dp5a2.counting import _INT64_MAX_B, TORSOR_MAX_B, _iroot, _kernel_dtype
+def test_kernel_int64_exact_at_proved_bound():
+    from dp5a2.counting import TORSOR_MAX_B, _iroot
 
-    B = _INT64_MAX_B
-    assert _kernel_dtype(B) is np.int64
-    assert _kernel_dtype(B + 1) is object
+    B = TORSOR_MAX_B
     # the largest operand, rhs^2 + C4 <= 2B^2 + 4B^(3/2), and the square
     # (s + 1)^2 of the isqrt correction stay below 2^63 at the bound
     top = 2 * B * B + 4 * B * (math.isqrt(B) + 1)
@@ -332,18 +328,16 @@ def test_kernel_dtype_switch_at_proved_bound():
     xs = sorted(x for x in xs if 0 <= x <= top)
     got = _iroot(np.array(xs, dtype=np.int64), 2)
     assert got.tolist() == [math.isqrt(x) for x in xs]
-    # the roots of x <= 2B that the tables take, at the sweep's bound and at
-    # TORSOR_MAX_B, where the correction steps still stay below 2^63
-    for b in (B, TORSOR_MAX_B):
-        x2 = 2 * b
-        assert (math.isqrt(x2) + 2) ** 2 < 2**63 and (_icbrt(x2) + 2) ** 3 < 2**63
-        xs = {0, 1, 7, 8, 9, x2 - 1, x2}
-        for r in (math.isqrt(x2), _icbrt(x2), 2**21, 1_234_567):
-            xs |= {r * r - 1, r * r, r * r + 1, r**3 - 1, r**3, r**3 + 1}
-        xs = sorted(x for x in xs if 0 <= x <= x2)
-        arr = np.array(xs, dtype=np.int64)
-        assert _iroot(arr, 2).tolist() == [math.isqrt(x) for x in xs], b
-        assert _iroot(arr, 3).tolist() == [_icbrt(x) for x in xs], b
+    # the roots of x <= 2B that the tables take
+    x2 = 2 * B
+    assert (math.isqrt(x2) + 2) ** 2 < 2**63 and (_icbrt(x2) + 2) ** 3 < 2**63
+    xs = {0, 1, 7, 8, 9, x2 - 1, x2}
+    for r in (math.isqrt(x2), _icbrt(x2), 1_234, 1_587, 1_588, 56_789):
+        xs |= {r * r - 1, r * r, r * r + 1, r**3 - 1, r**3, r**3 + 1}
+    xs = sorted(x for x in xs if 0 <= x <= x2)
+    arr = np.array(xs, dtype=np.int64)
+    assert _iroot(arr, 2).tolist() == [math.isqrt(x) for x in xs]
+    assert _iroot(arr, 3).tolist() == [_icbrt(x) for x in xs]
 
 
 def _signed_divisors(n):
@@ -449,11 +443,17 @@ def test_workers_below_one_rejected():
             count_torsor(10, workers=workers)
 
 
-def test_torsor_refuses_B_above_table_bound():
-    from dp5a2.counting import TORSOR_MAX_B
+def test_torsor_refuses_B_above_table_bound(monkeypatch):
+    from dp5a2 import counting
 
+    def unreachable(*args):
+        raise AssertionError("a table was built for a refused B")
+
+    # refused before any table is built
+    monkeypatch.setattr(counting, "_divisor_table", unreachable)
+    monkeypatch.setattr(counting, "_quads", unreachable)
     with pytest.raises(ValueError, match="TORSOR_MAX_B"):
-        count_torsor(TORSOR_MAX_B + 1)
+        count_torsor(counting.TORSOR_MAX_B + 1)
 
 
 def test_split_partition():

@@ -38,3 +38,40 @@ def test_import_does_not_load_scipy():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _unused_imports(path):
+    """The names a module imports but never references (nor lists in __all__)."""
+    import ast
+
+    tree = ast.parse(open(path).read(), path)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__.py is skipped: its imports are the package's re-exports
+    src = os.path.dirname(dp5a2.__file__)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    paths = [
+        os.path.join(d, f)
+        for d in (src, tests)
+        for f in sorted(os.listdir(d))
+        if f.endswith(".py") and f != "__init__.py"
+    ]
+    unused = {p: u for p in paths if (u := _unused_imports(p))}
+    assert not unused

@@ -13,7 +13,6 @@ from dp5a2.torsor import (
     TorsorPoint,
     coprimality_full,
     coprimality_reduced,
-    height_forms,
     psi,
     required_coprime_pairs,
     scaling_context,
@@ -207,19 +206,29 @@ def test_dropping_any_edge_fails_the_equivalence_check(edge):
 def test_scaling_context_frozen_values():
     ctx = scaling_context((1, 1, 1, 1), 32)
     assert (ctx.y0, ctx.y1, ctx.y5, ctx.y6) == (0.5, 2.0, 2.0, 2.0)
-    assert ctx.identity_residual() == pytest.approx(0.0, abs=1e-12)
+    assert ctx.y1 * ctx.y5 * ctx.y6 / ctx.y0**2 == pytest.approx(32, rel=1e-12)
 
 
 def test_scaling_identity_various():
     # Y1 Y5 Y6 / (eta2 Y0^2) = B / (eta1 eta2 eta3 eta4)
     for eta, B in [((2, 3, 1, 5), 10**4), ((7, 1, 2, 1), 999), ((1, 1, 1, 1), 2)]:
         ctx = scaling_context(eta, B)
-        assert abs(ctx.identity_residual()) < 1e-9
+        e1, e2, e3, e4 = eta
+        lhs = ctx.y1 * ctx.y5 * ctx.y6 / (e2 * ctx.y0**2)
+        assert lhs == pytest.approx(B / (e1 * e2 * e3 * e4), rel=1e-9)
 
 
-def test_height_forms_agree_off_boundary():
-    t = TorsorPoint(1, 1, 1, 1, 1, 1, 0, -1)
-    exact, floating = height_forms(t, 100)
-    assert exact and floating
-    exact, floating = height_forms(t, 1)
-    assert exact  # max |psi_i| = 1
+def test_scaled_height_entries_match_psi():
+    # in the units of scaling_context, each entry of the height section h
+    # is x_i/B up to sign, for every torsor tuple of height <= B
+    from dp5a2.counting import _torsor_rows
+    from dp5a2.density import _h_entries
+
+    B = 100
+    rows = _torsor_rows(B)
+    assert len(rows) == 2222
+    x = np.abs(psi(rows)) / B
+    for t, xs in zip(rows.tolist(), x):
+        ctx = scaling_context(tuple(t[:4]), B)
+        h = _h_entries(ctx.y0, t[6] / ctx.y1, t[4] / ctx.y5, t[5] / ctx.y6)
+        assert np.abs(h) == pytest.approx(xs, abs=1e-12), t
