@@ -2,7 +2,10 @@
 
 Everything here is exact -- Python ints and fractions.Fraction (the
 prime sieve marks a numpy bool array, but returns Python ints).  Floats
-never enter; callers that want floats convert at their own boundary.
+never enter a result; callers that want floats convert at their own
+boundary.  ragged, iroot and cuts are the int64 numpy helpers of the
+counting and main-term kernels; iroot starts from a float root and
+corrects it to the exact one.
 
 Conventions that the rest of the package leans on:
   * gcd(0, n) = |n|, so 0 is coprime only to 1 and -1.
@@ -20,7 +23,9 @@ import numpy as np
 
 __all__ = [
     "Factorization",
+    "cuts",
     "factorize",
+    "iroot",
     "moebius",
     "phi_dagger",
     "phi_star",
@@ -128,3 +133,35 @@ def ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def iroot(x: np.ndarray, k: int) -> np.ndarray:
+    """floor(x^(1/k)) for int64 x >= 0 and k >= 1, exactly.
+
+    Exact while (floor(x^(1/k)) + 2)^k < 2^63, and for k = 1 while
+    x <= 2^53, where the float root, x itself, is exact.  For k >= 2 the
+    float root (np.sqrt for k = 2, np.cbrt for k = 3, else the float
+    power) is off by a few units of 2^-53 relative, and for k >= 4 the
+    rounding of 1/k adds at most ln(x)/k < 11 more; the root is below
+    3.04e9, and below 55,110 for k >= 4, so the float root is within 1e-5
+    of the true one.  Its floor is then off by at most one, and one exact
+    integer step each way corrects it; the steps raise at most
+    floor(x^(1/k)) + 2 to the k-th power.
+    """
+    f = np.asarray(x, np.float64)
+    s = (np.sqrt(f) if k == 2 else np.cbrt(f) if k == 3 else f ** (1.0 / k)).astype(np.int64)
+    s -= s**k > x
+    s += (s + 1) ** k <= x
+    return s
+
+
+def cuts(w: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """Contiguous slices [lo, hi) of rows with weights w >= 0.
+
+    A slice begins at each row whose preceding weight sum has crossed a
+    new multiple of size, so a slice weighs less than size plus the
+    weight of its last row.
+    """
+    before = np.cumsum(w) - w
+    b = [0, *(np.flatnonzero(np.diff(before // size)) + 1).tolist(), len(w)]
+    return list(zip(b[:-1], b[1:]))

@@ -58,7 +58,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import ragged
+from .arith import cuts, iroot, ragged
 from .surface import BRUTE_FORCE_MAX, ProjectivePoint, brute_force_points, in_U
 from .torsor import TorsorPoint, coprimality_reduced, psi
 
@@ -135,20 +135,6 @@ def _naive_rows(B: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _iroot(x: np.ndarray, k: int) -> np.ndarray:
-    """floor(x^(1/k)) for k = 2 or 3 and int64 x >= 0 with (x^(1/k) + 2)^k < 2^63.
-
-    The float root is within 1e-6 of the true one there (a root below
-    3.04e9, off by a few units of 2^-53 relative), so its floor is off by
-    at most one, and one exact integer step each way corrects it; the
-    steps square or cube at most floor(x^(1/k)) + 2.
-    """
-    s = (np.sqrt if k == 2 else np.cbrt)(x.astype(np.float64)).astype(np.int64)
-    s -= s**k > x
-    s += (s + 1) ** k <= x
-    return s
-
-
 def _divisor_table(n: int) -> tuple[np.ndarray, ...]:
     """The signed squarefree divisors of every 1 <= x <= n, as a ragged table.
 
@@ -194,9 +180,9 @@ def _quads(B: int) -> tuple[np.ndarray, ...]:
     e1, e2 = e1[q], e2 + 1
     keep = np.gcd(e1, e2) == 1
     e1, e2 = e1[keep], e2[keep]
-    q, e3 = ragged(_iroot(B // (e1 * e2) ** 2, 3))
+    q, e3 = ragged(iroot(B // (e1 * e2) ** 2, 3))
     e1, e2, e3 = e1[q], e2[q], e3 + 1
-    q, e4 = ragged(_iroot(B // ((e1 * e2) ** 2 * e3**3), 2))
+    q, e4 = ragged(iroot(B // ((e1 * e2) ** 2 * e3**3), 2))
     e1, e2, e3, e4 = e1[q], e2[q], e3[q], e4 + 1
     keep = np.gcd(e4, e1 * e2) == 1
     return e1[keep], e2[keep], e3[keep], e4[keep]
@@ -216,7 +202,7 @@ def _bounds(quads: tuple[np.ndarray, ...], B: int) -> tuple[np.ndarray, ...]:
     c2 = e3 * e4 * e4
     c1 = e1 * e2 * e3 * c2
     base = e1 * e2 * e3 * c1
-    e5max = np.minimum(B // base, np.minimum(_iroot(twoB // c1, 2), _iroot(twoB // c2, 3)))
+    e5max = np.minimum(B // base, np.minimum(iroot(twoB // c1, 2), iroot(twoB // c2, 3)))
     return base, c1, c2, e5max
 
 
@@ -245,7 +231,7 @@ def _groups(quads: tuple[np.ndarray, ...], B: int, cap: int, table: tuple) -> tu
     keep = np.gcd(e5, e123[q]) == 1
     q, e5 = q[keep], e5[keep]
     e5sq = e5 * e5
-    e6max = np.minimum(twoB // (c1[q] * e5sq), _iroot(twoB // (c2[q] * e5sq * e5), 2))
+    e6max = np.minimum(twoB // (c1[q] * e5sq), iroot(twoB // (c2[q] * e5sq * e5), 2))
     e34 = e3 * e4
     cols = (
         e6max,
@@ -370,9 +356,9 @@ def _sweep(B: int, cols: tuple, terms: np.ndarray, nterms: np.ndarray) -> tuple[
       * rhs/h is reduced mod K before the product with w (< K^2 <= B^2),
         and the class h y is below L.
     2B^2 + 4B^(3/2) is at most 8.0004e18 < 2^63 there, and so is
-    (isqrt + 2)^2 in _iroot.  The operands of the tables stay smaller:
+    (isqrt + 2)^2 in arith.iroot.  The operands of the tables stay smaller:
       * the roots of _quads, _bounds and _groups, of x <= 2B, whose
-        correction steps in _iroot square or cube at most 63,247 or 1,589;
+        correction steps in arith.iroot square or cube at most 63,247 or 1,589;
       * base, c1, c2, e1234 <= B, and c1 eta5^2, c2 eta5^3 <= 2B by the
         choice of eta5max; t45 <= c1 eta5^2, and k3, k5 <= base eta5 <= B;
       * d1 <= eta3 eta4, m, K, w, L <= B as above, and eta1 d' <=
@@ -396,7 +382,7 @@ def _sweep(B: int, cols: tuple, terms: np.ndarray, nterms: np.ndarray) -> tuple[
     # q <= C is [ceil r-, floor r+] for the roots r- < r+ of q - C (C4 = 4 e1 C)
     C4 = 4 * f * e2[g] * (B // e6)
     rr = rhs * rhs
-    s = _iroot(rr + C4, 2)
+    s = iroot(rr + C4, 2)
     f2 = 2 * f
     lo = np.maximum(lo, -((rhs + s) // f2))
     hi = np.minimum(hi, (s - rhs) // f2)
@@ -406,7 +392,7 @@ def _sweep(B: int, cols: tuple, terms: np.ndarray, nterms: np.ndarray) -> tuple[
     # (there when D > 0): keep [lo, hi1] = [lo, floor r1] and [lo2, hi] =
     # [ceil r2, hi], each clipped to [lo, hi]
     D = rr[keep] - C4[keep]
-    s = _iroot(np.maximum(D, 0), 2)
+    s = iroot(np.maximum(D, 0), 2)
     s += s * s < D
     v = (-rhs - s) // f2
     gap = (D > 0) & (v < hi)
@@ -451,18 +437,6 @@ def _unit_worker(job: tuple) -> tuple[int, int, int]:
     return _count_unit(*job, _worker_table)
 
 
-def _cuts(w: np.ndarray, size: int) -> list[tuple[int, int]]:
-    """Contiguous slices [lo, hi) of rows with weights w >= 0.
-
-    A slice begins at each row whose preceding weight sum has crossed a
-    new multiple of size, so a slice weighs less than size plus the
-    weight of its last row.
-    """
-    before = np.cumsum(w) - w
-    b = [0, *(np.flatnonzero(np.diff(before // size)) + 1).tolist(), len(w)]
-    return list(zip(b[:-1], b[1:]))
-
-
 def _units(quads: tuple, B: int, table: tuple) -> list[tuple[int, int]]:
     """The work units: contiguous slices of the quadruple table.
 
@@ -472,10 +446,10 @@ def _units(quads: tuple, B: int, table: tuple) -> list[tuple[int, int]]:
     less than _UNIT_ROWS rows plus the rows of its last quadruple.
     """
     rows = np.zeros(len(quads[0]), np.int64)
-    for lo, hi in _cuts(_bounds(quads, B)[3], _UNIT_ROWS):
+    for lo, hi in cuts(_bounds(quads, B)[3], _UNIT_ROWS):
         q, cols, _, nterms = _groups(tuple(c[lo:hi] for c in quads), B, 0, table)
         rows[lo:hi] = np.bincount(q, cols[0] * nterms, hi - lo)
-    return _cuts(rows, _UNIT_ROWS)
+    return cuts(rows, _UNIT_ROWS)
 
 
 def count_torsor(B: int, *, workers: int = 1, A: float | None = None) -> CountResult:

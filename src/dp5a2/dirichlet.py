@@ -10,16 +10,18 @@ alpha1, then alpha2), and the Euler product of the local weights over
 the primes dividing eta1 eta2 eta3 eta4, which is what theta() returns.
 
 The main-term sums use that theta(eta)/(eta1 eta2 eta3 eta4) depends on
-eta only through the key (eta1 eta2 eta4, eta3).  Python walks the eta
-triples (eta1, eta2, eta3); one numpy pass per batch of triples expands
-them to their eta4 ranges, keeps the pairwise-coprime rows and counts
-each key (_key_counts).  Each sum is then over the distinct keys, of
+eta only through the key (eta1 eta2 eta4, eta3).  The eta triples
+(eta1, eta2, eta3) are built as ragged numpy levels; slices of them are
+expanded to their eta4 ranges, the pairwise-coprime rows kept and each
+key counted (_key_counts).  Each sum is then over the distinct keys, of
 multiplicity x summand, with the local weights computed once per key:
 the exact route adds integer numerators per denominator and builds one
 Fraction over the lcm of the denominators, so B must be an integer; the
-float route adds the same terms as floats.  delta_k, and summatory_M
-with via="n", stay pure Python and share no enumeration with the key
-route, which they check.
+float route adds the same terms as floats.  The key sums run in int64
+for t <= 3*10^9 (_INT64_MAX_T, proved in _key_counts) and refuse larger
+t.  delta_k, and summatory_M with via="n", stay pure Python, without
+that bound, and share no enumeration with the key route, which they
+check.
 
 Delta_k(n) sums theta(eta)/(eta1 eta2 eta3 eta4) over eta with
 eta1^k1 eta2^k2 eta3^k3 eta4^k4 = n.  Its Dirichlet series factors as
@@ -34,11 +36,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
-from .arith import moebius, phi_star, prime_divisors, ragged, squarefree_divisors
+from .arith import cuts, iroot, moebius, phi_star, prime_divisors, ragged, squarefree_divisors
 
 __all__ = [
     "K_CUT",
@@ -66,9 +68,9 @@ K_CUT = (3, 3, 4, 2)
 ZETA2_INV = 6.0 / math.pi**2
 
 # The largest t at which the key kernel's int64 arithmetic cannot overflow
-# (proved in _key_counts); above it the kernel runs on Python ints.
+# (proved in _key_counts); the key sums refuse larger t.
 _INT64_MAX_T = 3 * 10**9
-# eta4 rows per kernel batch
+# eta4 rows per kernel slice
 _CHUNK_ROWS = 1 << 18
 
 
@@ -247,80 +249,20 @@ def delta_k(k: tuple[int, int, int, int], n: int) -> ZetaRational:
     return ZetaRational(total, 1)
 
 
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for integers n >= 0 and k >= 1, exactly."""
-    if k == 1:
-        return n
-    if k == 2:
-        return isqrt(n)
-    if n < 2:
-        return n
-    # integer Newton from above: r stays >= the root until it stops falling
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _batches(k: tuple[int, int, int, int], t: int, shell: bool):
-    """The eta4 ranges of the set, per eta triple, in batches of flat lists.
-
-    Python walks the triples (eta1, eta2, eta3) with gcd(eta1, eta2) = 1;
-    the eta4 of the set are lo < eta4 <= hi: the sublevel set of k, or
-    with shell its part outside the sublevel set of k + (1, 1, 1, 0).
-    Yields (eta1 eta2, eta3, lo, hi) as four lists once they hold
-    _CHUNK_ROWS eta4 or more; that is checked after each pair (eta1, eta2),
-    so a batch exceeds _CHUNK_ROWS by at most the eta4 of one pair (about
-    83,000 for K_MAIN at t = 10^9, from the pair (1, 1)).
-    """
+def _triples(k: tuple[int, int, int, int], t: int, shell: bool):
+    """The levels of _key_counts: per triple, eta1 eta2, eta3, lo and hi - lo."""
     k1, k2, k3, k4 = k
-    root = isqrt if k4 == 2 else (lambda n: _iroot(n, k4))
-    e12s: list[int] = []
-    e3s: list[int] = []
-    los: list[int] = []
-    his: list[int] = []
-    rows = 0
-    e1 = 0
-    while True:
-        e1 += 1
-        p1 = e1**k1
-        if p1 > t:
-            break
-        e2 = 0
-        while True:
-            e2 += 1
-            p2 = p1 * e2**k2
-            if p2 > t:
-                break
-            if gcd(e1, e2) != 1:
-                continue
-            e12 = e1 * e2
-            e3 = 0
-            while True:
-                e3 += 1
-                p3 = p2 * e3**k3
-                if p3 > t:
-                    break
-                hi = root(t // p3)
-                lo = root(t // (p3 * e12 * e3)) if shell else 0
-                if lo < hi:
-                    e12s.append(e12)
-                    e3s.append(e3)
-                    los.append(lo)
-                    his.append(hi)
-                    rows += hi - lo
-            if rows >= _CHUNK_ROWS:
-                yield e12s, e3s, los, his
-                e12s, e3s, los, his, rows = [], [], [], [], 0
-    if his:
-        yield e12s, e3s, los, his
-
-
-def _key_dtype(t: int):
-    """int64 up to _INT64_MAX_T (the bound proved in _key_counts), else object."""
-    return np.int64 if t <= _INT64_MAX_T else object
+    e1 = np.arange(1, iroot(t, k1) + 1)
+    q, e2 = ragged(iroot(t // e1**k1, k2))
+    e1, e2 = e1[q], e2 + 1
+    keep = np.gcd(e1, e2) == 1
+    e1, e2 = e1[keep], e2[keep]
+    p2 = e1**k1 * e2**k2
+    q, e3 = ragged(iroot(t // p2, k3))
+    e12, e3 = (e1 * e2)[q], e3 + 1
+    p3 = p2[q] * e3**k3
+    lo = iroot(t // (p3 * e12 * e3), k4) if shell else np.zeros_like(p3)
+    return e12, e3, lo, iroot(t // p3, k4) - lo
 
 
 def _key_counts(k: tuple[int, int, int, int], t: int, shell: bool = False):
@@ -328,41 +270,52 @@ def _key_counts(k: tuple[int, int, int, int], t: int, shell: bool = False):
 
     theta(eta)/(eta1 eta2 eta3 eta4) depends on eta only through this key,
     so a sum over the set is a sum over keys of multiplicity x summand.
-    Python walks the eta triples (_batches); each batch is expanded to
-    one row per eta4 (a ragged arange), filtered by gcd(eta4, eta1 eta2)
-    = 1, which with gcd(eta1, eta2) = 1 is the pairwise coprimality of
-    eta1, eta2, eta4, and reduced to its distinct key codes
-    e124 * M + eta3 (M = floor(t^(1/k3)) + 1 > eta3) by np.unique; the
-    batches are merged at the end.  Returns three arrays (e124, e3, mult),
-    sorted by code.  The rank is cast to the batch dtype, so the object
-    route never mixes numpy int64 scalars into its Python ints.
+    The set is the sublevel set prod eta_j^k_j <= t of k, or with shell
+    its part outside the sublevel set of k + (1, 1, 1, 0).  _triples
+    builds it as ragged numpy levels, with roots by arith.iroot:
+    eta1 <= t^(1/k1); eta2 per eta1, kept when gcd(eta1, eta2) = 1; eta3
+    per pair; and per triple the eta4 range lo < eta4 <= hi, with hi the
+    k4-th root of t // p3 (p3 = eta1^k1 eta2^k2 eta3^k3) and lo = 0, or
+    for the shell the k4-th root of t // (p3 eta1 eta2 eta3).  The eta4
+    rows are expanded in slices of about _CHUNK_ROWS (arith.cuts over the
+    triples' row counts), filtered by gcd(eta4, eta1 eta2) = 1, which with
+    gcd(eta1, eta2) = 1 is the pairwise coprimality of eta1, eta2, eta4,
+    and reduced to their distinct key codes e124 * M + eta3
+    (M = floor(t^(1/k3)) + 1 > eta3) by np.unique; the slices are merged
+    at the end.  Returns three int64 arrays (e124, e3, mult), sorted by code.
 
-    int64 safety.  Every k_j >= 1 and eta_j >= 1, so
-    eta1 eta2 eta3 eta4 <= prod eta_j^k_j <= t: every eta_j, eta1 eta2,
-    e124, lo and hi are at most t.  A multiplicity is at most the number
-    of pairs (eta1, eta2) with eta1 eta2 | e124, below t^2.  A code is below
-    (e124 + 1) M <= (t + 1)^2 < 2^63 for t <= _INT64_MAX_T = 3 10^9
-    (9.000000006e18 there).  Above it the arrays hold Python ints
-    (dtype object) and this same code runs exactly.
+    Each k_j is capped at 32 first, which changes no level: t < 2^32, so
+    eta^k <= t forces eta = 1 for every k >= 32.
+
+    int64 safety, for t <= _INT64_MAX_T = 3 10^9.  Every k_j >= 1 and
+    eta_j >= 1, so eta1 eta2 eta3 eta4 <= prod eta_j^k_j <= t.  Each level
+    stops at its root, so each power eta_j^k_j, p1 = eta1^k1, p2, p3, and
+    every eta_j, eta1 eta2, e124, lo and hi are at most t; with the shell,
+    p3 eta1 eta2 eta3 <= p3^2 <= t^2.  Every root is of some x <= t < 2^32
+    and exact there: for k = 1, x <= 2^53; for k >= 2, with
+    r = floor(x^(1/k)), (r + 2)^k is at most 2^32 for r = 0, 3^32 for
+    r = 1, 4^31 = 2^62 for r = 2 (2^k <= t gives k <= 31), and
+    t (5/3)^19 for r >= 3 (3^k <= t gives k <= 19), all below 2^63.  A
+    multiplicity is at most the number of pairs (eta1, eta2) with
+    eta1 eta2 | e124, below t^2.  A code is below
+    (e124 + 1) M <= (t + 1)^2 < 2^63 (9.000000006e18 at the bound).
     """
-    dtype = _key_dtype(t)
-    M = _iroot(max(t, 0), k[2]) + 1
+    k = tuple(min(kj, 32) for kj in k)
+    t = max(t, 0)
+    M = iroot(t, k[2]) + 1
+    e12, e3, lo, rows = _triples(k, t, shell)
     codes, mults = [], []
-    for e12s, e3s, los, his in _batches(k, t, shell):
-        lo = np.array(los, dtype)
-        owner, rank = ragged((np.array(his, dtype) - lo).astype(np.int64))
-        e12 = np.array(e12s, dtype)[owner]
-        e4 = lo[owner] + (rank + 1).astype(dtype)
-        keep = np.gcd(e4, e12) == 1
-        code = e12[keep] * e4[keep] * M + np.array(e3s, dtype)[owner][keep]
-        code, mult = np.unique(code, return_counts=True)
+    for a, b in cuts(rows, _CHUNK_ROWS):
+        owner, rank = ragged(rows[a:b])
+        owner += a
+        e4 = lo[owner] + rank + 1
+        f = e12[owner]
+        keep = np.gcd(e4, f) == 1
+        code, mult = np.unique(f[keep] * e4[keep] * M + e3[owner][keep], return_counts=True)
         codes.append(code)
-        mults.append(mult.astype(dtype))
-    if not codes:
-        empty = np.zeros(0, dtype)
-        return empty, empty, empty
+        mults.append(mult)
     code, inv = np.unique(np.concatenate(codes), return_inverse=True)
-    mult = np.zeros(len(code), dtype)
+    mult = np.zeros(len(code), np.int64)
     np.add.at(mult, inv, np.concatenate(mults))
     return code // M, code % M, mult
 
@@ -370,8 +323,11 @@ def _key_counts(k: tuple[int, int, int, int], t: int, shell: bool = False):
 def _key_terms(k: tuple[int, int, int, int], t: int, shell: bool = False):
     """(multiplicity x num, den) of zeta(2) theta(eta)/(eta1 eta2 eta3 eta4), per key.
 
-    _weight runs once per distinct key of _key_counts.
+    _weight runs once per distinct key of _key_counts.  t above
+    _INT64_MAX_T raises ValueError before any table is built.
     """
+    if t > _INT64_MAX_T:
+        raise ValueError(f"t must be <= {_INT64_MAX_T} for the key sums, got {t}")
     for e124, e3, mult in zip(*(a.tolist() for a in _key_counts(k, t, shell))):
         num, den = _weight(e124, e3)
         yield mult * num, den * e124 * e3
@@ -396,7 +352,8 @@ def summatory_M(
     much slower, pure Python, and exists as an independent cross-check.
     exact=True returns a ZetaRational, summed over one common denominator;
     exact=False sums the same terms as floats, for large t.  k must hold
-    four ints >= 1.
+    four ints >= 1.  via="eta" raises ValueError for t > 3*10^9
+    (_INT64_MAX_T) before any table is built.
     """
     t = operator.index(t)
     k = _exponents(k)
@@ -424,6 +381,7 @@ def e_star_sum(B: int) -> ZetaRational:
     two sublevel sets, and this sum equals M_(2,2,3,2) - M_(3,3,4,2).  For
     each eta triple the shell is one range of eta4:
     isqrt(B // (eta1^3 eta2^3 eta3^4)) < eta4 <= isqrt(B // (eta1^2 eta2^2 eta3^3)).
+    Raises ValueError for B > 3*10^9 (_INT64_MAX_T) before any table is built.
     """
     B = operator.index(B)
     return ZetaRational(_exact_sum(_key_terms(K_MAIN, B, shell=True)), 1)
@@ -447,7 +405,8 @@ def predicted_main_term(B: int, omega: float, *, cross_check: bool | None = None
 
     cross_check (default for B <= 10^4) re-derives the difference as the
     direct shell sum and raises MainTermIdentityError unless the two agree
-    exactly.
+    exactly.  B must be in 1..3*10^9 (_INT64_MAX_T); outside it ValueError
+    is raised before any table is built.
     """
     B = operator.index(B)
     if B < 1:

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-# The largest B at which check_height_bounds runs in int64 (proved there)
+# The largest B that check_height_bounds accepts: its int64 bound, proved there
 _HEIGHT_INT64_MAX_B = 6000
 
 
@@ -112,14 +112,14 @@ def check_height_bounds(B: int = 1000) -> CheckResult:
     e1^2 e2^2 e3^3 e4^2 e5 = x0 <= B and |e6| <= B (|x3| or |x5| is a
     nonzero multiple of e6: alpha1 = alpha2 = 0 would break the
     equation), so |b1| <= B^3 and b2 <= B^5, as are their partial
-    products.  B^5 < 2^63 for B <= _HEIGHT_INT64_MAX_B = 6,000; above it
-    the columns are Python ints.
+    products.  B^5 < 2^63 for B <= _HEIGHT_INT64_MAX_B = 6,000; larger B
+    raises ValueError before anything is enumerated.
     """
+    if B > _HEIGHT_INT64_MAX_B:
+        raise ValueError(f"B must be <= {_HEIGHT_INT64_MAX_B} for the int64 check, got {B}")
 
     def run():
         rows = counting._torsor_rows(B)
-        if B > _HEIGHT_INT64_MAX_B:
-            rows = rows.astype(object)
         e1, e2, e3, e4, e5, e6 = rows.T[:6]
         p = psi(rows)
         b1 = e1 * e2 * e3**2 * e4**2 * e5**2 * e6

@@ -110,7 +110,7 @@ def test_solution_counts_frozen():
 def test_enumeration_shares_no_code_with_count(monkeypatch):
     from dp5a2 import counting
 
-    for name in ("_quads", "_bounds", "_groups", "_iroot", "_divisor_table", "_terms", "_sweep"):
+    for name in ("_quads", "_bounds", "_groups", "iroot", "cuts", "_divisor_table", "_terms", "_sweep"):
         monkeypatch.setattr(counting, name, None)
     assert sum(1 for _ in torsor_solutions(100)) == KNOWN_COUNTS[100]
 
@@ -134,9 +134,10 @@ def test_height_bounds_check_names_first_failing_tuple(monkeypatch):
         p[[7, 9], 1] += 1
         return p
 
-    assert verify.check_height_bounds(50).passed
-    monkeypatch.setattr(verify, "_HEIGHT_INT64_MAX_B", 10)  # the Python-int route
-    assert verify.check_height_bounds(50).detail == "B=50: 940 solutions satisfy both bounds"
+    res = verify.check_height_bounds(50)
+    assert res.passed and res.detail == "B=50: 940 solutions satisfy both bounds"
+    with pytest.raises(ValueError):
+        verify.check_height_bounds(6001)
     monkeypatch.setattr(verify, "psi", faulty)
     res = verify.check_height_bounds(50)
     assert not res.passed and res.detail == f"identity failed at {tuple(rows[7].tolist())}"
@@ -304,17 +305,19 @@ def test_counts_are_python_ints(capsys):
     assert row["count"] == row["na"] + row["nb1"] + row["nb2"] == 810_704
 
 
-def _icbrt(x):
-    r = round(x ** (1 / 3))
-    while r**3 > x:
+def _exact_root(x, k):
+    """floor(x^(1/k)) in Python ints."""
+    r = round(x ** (1 / k))
+    while r**k > x:
         r -= 1
-    while (r + 1) ** 3 <= x:
+    while (r + 1) ** k <= x:
         r += 1
     return r
 
 
 def test_kernel_int64_exact_at_proved_bound():
-    from dp5a2.counting import TORSOR_MAX_B, _iroot
+    from dp5a2.arith import iroot
+    from dp5a2.counting import TORSOR_MAX_B
 
     B = TORSOR_MAX_B
     # the largest operand, rhs^2 + C4 <= 2B^2 + 4B^(3/2), and the square
@@ -326,18 +329,22 @@ def test_kernel_int64_exact_at_proved_bound():
     for s in (math.isqrt(top), 3 * 10**9 // 2, 10**6, 94_906_265, 2**26 + 1):
         xs |= {s * s - 1, s * s, s * s + 1, s * s + 2 * s}
     xs = sorted(x for x in xs if 0 <= x <= top)
-    got = _iroot(np.array(xs, dtype=np.int64), 2)
+    got = iroot(np.array(xs, dtype=np.int64), 2)
     assert got.tolist() == [math.isqrt(x) for x in xs]
     # the roots of x <= 2B that the tables take
     x2 = 2 * B
-    assert (math.isqrt(x2) + 2) ** 2 < 2**63 and (_icbrt(x2) + 2) ** 3 < 2**63
+    assert (math.isqrt(x2) + 2) ** 2 < 2**63 and (_exact_root(x2, 3) + 2) ** 3 < 2**63
     xs = {0, 1, 7, 8, 9, x2 - 1, x2}
-    for r in (math.isqrt(x2), _icbrt(x2), 1_234, 1_587, 1_588, 56_789):
+    for r in (math.isqrt(x2), _exact_root(x2, 3), 1_234, 1_587, 1_588, 56_789):
         xs |= {r * r - 1, r * r, r * r + 1, r**3 - 1, r**3, r**3 + 1}
     xs = sorted(x for x in xs if 0 <= x <= x2)
     arr = np.array(xs, dtype=np.int64)
-    assert _iroot(arr, 2).tolist() == [math.isqrt(x) for x in xs]
-    assert _iroot(arr, 3).tolist() == [_icbrt(x) for x in xs]
+    assert iroot(arr, 2).tolist() == [math.isqrt(x) for x in xs]
+    assert iroot(arr, 3).tolist() == [_exact_root(x, 3) for x in xs]
+    # the roots of x <= 3*10^9 that the main-term key sums take, k = 4..32
+    for k in range(4, 33):
+        xs = sorted({r**k + d for r in range(1, _exact_root(3 * 10**9, k) + 1) for d in (-1, 0, 1)})
+        assert iroot(np.array(xs, dtype=np.int64), k).tolist() == [_exact_root(x, k) for x in xs], k
 
 
 def _signed_divisors(n):

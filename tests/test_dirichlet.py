@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dp5a2 import dirichlet, verify
@@ -150,10 +149,12 @@ class TestSummatory:
         with pytest.raises(ValueError):
             summatory_M(K_MAIN, 10, via="divisor")
 
-    @pytest.mark.parametrize("k", [(1, 1, 1, 1), (2, 2, 3, 3), (1, 2, 1, 3), (3, 1, 2, 4)])
+    @pytest.mark.parametrize("k", [(1, 1, 1, 1), (2, 2, 3, 3), (1, 2, 1, 3), (3, 1, 2, 4),
+                                   (40, 2, 3, 2), (2, 2, 3, 63)])
     def test_key_route_matches_n_route_for_other_k(self, k):
         # t at and around perfect squares, cubes and fourth powers checks
-        # the integer k4-th root at the ends of the eta4 ranges
+        # the integer k4-th root at the ends of the eta4 ranges; k_j above
+        # 32 checks the kernel's cap on the exponents
         for t in (1, 2, 7, 8, 9, 15, 16, 17, 26, 27, 28, 63, 64, 65, 81, 200):
             ex = summatory_M(k, t)
             assert ex == summatory_M(k, t, via="n"), (k, t)
@@ -191,7 +192,7 @@ def fraction_oracle(B: int, shell: bool) -> tuple[Fraction, Fraction]:
 class TestExactSums:
     """The common-denominator sums against one Fraction per term."""
 
-    @pytest.mark.parametrize("B", [1, 7, 300, 10**4, 10**5])
+    @pytest.mark.parametrize("B", [-1, 0, 1, 7, 300, 10**4, 10**5])
     def test_sums_match_fraction_oracle(self, B):
         main, cut = fraction_oracle(B, shell=False)
         assert summatory_M(K_MAIN, B) == ZetaRational(main, 1)
@@ -209,37 +210,31 @@ class TestExactSums:
         assert not res.passed
         assert res.detail.startswith("B=300: shell sum ")
 
-    def test_batches_merge_exactly(self, monkeypatch):
-        # at the default batch size these B fit in one batch; tiny batches
-        # force the merge of the per-batch key counts
+    def test_slices_merge_exactly(self, monkeypatch):
+        # at the default slice size these B fit in one slice; tiny slices
+        # force the merge of the per-slice key counts
         sums = {B: (summatory_M(K_MAIN, B), summatory_M(K_CUT, B), e_star_sum(B))
                 for B in (300, 10**4)}
         monkeypatch.setattr(dirichlet, "_CHUNK_ROWS", 50)
         for B, want in sums.items():
             assert (summatory_M(K_MAIN, B), summatory_M(K_CUT, B), e_star_sum(B)) == want
 
-    def test_int64_and_object_routes_agree(self, monkeypatch):
-        cases = [(k, t) for k in (K_MAIN, K_CUT, (1, 1, 1, 1), (1, 2, 1, 3))
-                 for t in (1, 7, 64, 300, 2000)]
-        fast = [(summatory_M(k, t), summatory_M(k, t, exact=False)) for k, t in cases]
-        shells = [e_star_sum(t) for t in (1, 7, 300, 10**4)]
-        # with the bound at 0 every t takes the Python-int (object) route
-        monkeypatch.setattr(dirichlet, "_INT64_MAX_T", 0)
-        assert all(a.dtype == object for a in dirichlet._key_counts(K_MAIN, 300))
-        for (k, t), (ex, fl) in zip(cases, fast):
-            assert summatory_M(k, t) == ex, (k, t)
-            assert summatory_M(k, t, exact=False) == fl, (k, t)
-        assert [e_star_sum(t) for t in (1, 7, 300, 10**4)] == shells
-
-    def test_key_dtype_switch_at_proved_bound(self, monkeypatch):
-        # no loop runs: with an empty walk, _key_counts only picks the dtype
-        monkeypatch.setattr(dirichlet, "_batches", lambda k, t, shell: iter(()))
-        T = dirichlet._INT64_MAX_T
-        for t, dtype in ((T, np.int64), (T + 1, object)):
-            assert dirichlet._key_dtype(t) is dtype
-            assert all(a.dtype == dtype for a in dirichlet._key_counts(K_MAIN, t))
-        # a key code is below (t + 1)^2, which fits in int64 at the bound
-        assert (T + 1) ** 2 < 2**63
+    def test_key_sums_refuse_t_above_int64_bound(self, monkeypatch):
+        # a key code is below (t + 1)^2, which fits in int64 at the bound;
+        # above it the sums refuse before the key table is built
+        t = dirichlet._INT64_MAX_T + 1
+        assert t**2 < 2**63
+        monkeypatch.setattr(dirichlet, "_key_counts", Forbidden())
+        for exact in (True, False):
+            for k in (K_MAIN, K_CUT):
+                with pytest.raises(ValueError, match="t must be <="):
+                    summatory_M(k, t, exact=exact)
+            with pytest.raises(ValueError, match="t must be <="):
+                predicted_main_term(t, 1.0, cross_check=exact)
+        with pytest.raises(ValueError, match="t must be <="):
+            e_star_sum(t)
+        with pytest.raises(ValueError, match="t must be <="):
+            predicted_main_term(t, 1.0)
 
     def test_sums_keep_no_theta_cache(self):
         before = dirichlet._theta_coeff.cache_info().currsize

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -42,8 +43,6 @@ def test_import_does_not_load_scipy():
 
 def _unused_imports(path):
     """The names a module imports but never references (nor lists in __all__)."""
-    import ast
-
     tree = ast.parse(open(path).read(), path)
     imported = {}
     used = set()
@@ -75,3 +74,25 @@ def test_no_unused_imports():
     ]
     unused = {p: u for p in paths if (u := _unused_imports(p))}
     assert not unused
+
+
+def _object_names(path):
+    """The lines that name the builtin object other than as object.attr: a dtype."""
+    tree = ast.parse(open(path).read(), path)
+    owners = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and n.id == "object" and id(n) not in owners
+    )
+
+
+def test_object_dtype_only_where_outside_integers_enter():
+    # surface.is_on_surface / in_U and torsor.psi take integers of any size
+    # from callers; every other kernel is int64 over a domain it proves, so
+    # a Python-int fork there is a second dtype path
+    src = os.path.dirname(dp5a2.__file__)
+    found = {
+        f: lines for f in sorted(os.listdir(src))
+        if f.endswith(".py") and (lines := _object_names(os.path.join(src, f)))
+    }
+    assert set(found) <= {"surface.py", "torsor.py"}, found
